@@ -28,7 +28,7 @@ from .funding import FinancingSelection, FundingAccounts, funding_accounts, fund
     fva, select_financing
 from .market import FundingConfig, OptionLeg, Portfolio, Side, terminal_payoff, validate
 from .pde import PdeGrid, PricingResult, SolverParams, solve, solve_american, solve_surface
-from .portfolio import NettingReport, build_strategy, netting_report
+from .portfolio import NettingReport, build_strategy, netting_report, quote
 from .replication import AnalyticOracle, HedgeSummary, LedgerState, PdeOracle, \
     make_oracle, simulate_hedge
 
@@ -72,6 +72,7 @@ __all__ = [
     "long_position_price",
     "make_oracle",
     "netting_report",
+    "quote",
     "select_financing",
     "simulate_hedge",
     "solve",

@@ -37,7 +37,7 @@ def norm_pdf(x):
 
 @dataclass(frozen=True)
 class BsQuote:
-    """Price and spot sensitivities of one vanilla option."""
+    """Price and spot sensitivities of one vanilla option or book."""
 
     price: float
     delta: float
@@ -54,10 +54,10 @@ class SpreadQuote:
 
 
 def _check_domain(spot: float, strike: float, expiry: float, sigma: float) -> None:
-    if not (spot > 0 and strike > 0 and expiry > 0 and sigma > 0):
+    if not all(math.isfinite(x) and x > 0 for x in (spot, strike, expiry, sigma)):
         raise ConfigError(
             f"spot={spot}, strike={strike}, expiry={expiry}, sigma={sigma} "
-            "must all be > 0")
+            "must all be finite and > 0")
 
 
 def _forward_quote(kind: OptionKind, forward: float, strike: float, expiry: float,
@@ -87,7 +87,8 @@ def bs_price(kind: OptionKind, spot: float, strike: float, expiry: float,
     """Classic Black-Scholes price, delta, and gamma with a continuous yield.
 
     Raises:
-        ConfigError: on non-positive spot, strike, expiry, or sigma.
+        ConfigError: on a non-finite or non-positive spot, strike, expiry,
+            or sigma.
     """
     _check_domain(spot, strike, expiry, sigma)
     forward = spot * math.exp((rate - dividend_yield) * expiry)

@@ -20,12 +20,10 @@ Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import click
@@ -33,8 +31,8 @@ import click
 from .analytic import bs_price, implied_vol, long_position_price, zero_haircut_quotes
 from .errors import ConfigError, NoConvergence, PricingError
 from .market import FundingConfig, OptionLeg, Portfolio, Side, load_portfolio
-from .pde import PdeGrid, solve, solve_american
-from .portfolio import STRATEGIES, build_strategy, netting_report
+from .pde import PdeGrid, solve
+from .portfolio import STRATEGIES, build_strategy, netting_report, quote
 from .replication import simulate_hedge
 
 CSV_VERSION = "fva-pricer v1"
@@ -45,6 +43,22 @@ FVA_CURVE_CASES = (
     ("h035_repo50", 0.35, 0.005),
     ("h035_repo150", 0.35, 0.015),
 )
+
+# validation-error fields -> the flags that can set them; a command names the
+# ones it has
+FIELD_FLAGS = {
+    "r": ("--rate",),
+    "r_b": ("--borrow-rate", "--borrow-spread"),
+    "q": ("--dividend-yield",),
+    "sigma": ("--vol",),
+    "repo_rate": ("--repo-rate", "--repo-spread"),
+    "rebate_rate": ("--rebate-rate", "--rebate-spread"),
+    "repo_haircut": ("--repo-haircut", "--haircut"),
+    "sec_haircut": ("--sec-haircut", "--haircut"),
+    "spot": ("--spot",),
+    "expiry": ("--expiry",),
+    "dt": ("--dt",),
+}
 
 
 def _fmt(x: float) -> str:
@@ -75,6 +89,16 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _config_message(exc: ConfigError) -> str:
+    """`<flag>: <ErrorClass>, <message>` when a flag of this command set the field."""
+    params = click.get_current_context().command.params
+    opts = {opt for p in params for opt in p.opts}
+    flags = [f for f in FIELD_FLAGS.get(exc.field, ()) if f in opts]
+    if not flags:
+        return str(exc)
+    return f"{'/'.join(flags)}: {type(exc).__name__}, {exc}"
+
+
 def _handled(fn):
     """Map library errors onto the documented exit codes."""
 
@@ -84,7 +108,9 @@ def _handled(fn):
             return fn(*args, **kwargs)
         except NoConvergence as exc:
             _fail(3, str(exc))
-        except (ConfigError, PricingError) as exc:
+        except ConfigError as exc:
+            _fail(2, _config_message(exc))
+        except PricingError as exc:
             _fail(2, str(exc))
 
     return wrapper
@@ -200,56 +226,24 @@ def output_options(fn):
     return fn
 
 
-def _resolve_rate(rate: float, absolute: float | None, spread: float | None,
-                  abs_flag: str, spread_flag: str, default: float) -> float:
+def _resolve_rate(kw, name: str) -> float:
+    """--<name>-rate, else --rate plus --<name>-spread, else --rate."""
+    absolute, spread = kw.get(f"{name}_rate"), kw.get(f"{name}_spread")
     if absolute is not None and spread is not None:
-        raise ConfigError(f"{abs_flag} and {spread_flag} are mutually exclusive")
+        raise ConfigError(f"--{name}-rate and --{name}-spread are mutually exclusive")
     if absolute is not None:
         return absolute
-    if spread is not None:
-        return rate + spread
-    return default
+    return kw["rate"] if spread is None else kw["rate"] + spread
 
 
 def _funding_config(kw) -> FundingConfig:
-    r = kw["rate"]
-    r_b = _resolve_rate(r, kw.get("borrow_rate"), kw.get("borrow_spread"),
-                        "--borrow-rate", "--borrow-spread", r)
-    repo = _resolve_rate(r, kw.get("repo_rate"), kw.get("repo_spread"),
-                         "--repo-rate", "--repo-spread", r)
-    rebate = _resolve_rate(r, kw.get("rebate_rate"), kw.get("rebate_spread"),
-                           "--rebate-rate", "--rebate-spread", r)
-    if r_b < r:
-        raise ConfigError(
-            "--borrow-rate/--borrow-spread: InvalidRateOrder, unsecured rate "
-            f"{r_b} must be >= deposit rate {r}")
-    if repo < r:
-        raise ConfigError(
-            f"--repo-rate/--repo-spread: InvalidRateOrder, repo rate {repo} "
-            f"must be >= deposit rate {r}")
-    if rebate > r:
-        raise ConfigError(
-            f"--rebate-rate/--rebate-spread: InvalidRateOrder, rebate {rebate} "
-            f"must be <= deposit rate {r}")
-    for flag, value in (("--repo-haircut", kw.get("repo_haircut", 0.0)),
-                        ("--sec-haircut", kw.get("sec_haircut", 0.0))):
-        if not 0.0 <= value < 1.0:
-            raise ConfigError(f"{flag}: InvalidHaircut, {value} outside [0, 1)")
-    if not kw["vol"] > 0:
-        raise ConfigError(f"--vol: NonPositiveVol, {kw['vol']} must be > 0")
+    """FundingConfig from the flags; FundingConfig itself validates them."""
     return FundingConfig(
-        r=r, r_b=r_b, q=kw.get("dividend_yield", 0.0), sigma=kw["vol"],
-        repo_rate=repo, repo_haircut=kw.get("repo_haircut", 0.0),
-        rebate_rate=rebate, sec_haircut=kw.get("sec_haircut", 0.0),
+        r=kw["rate"], r_b=_resolve_rate(kw, "borrow"),
+        q=kw.get("dividend_yield", 0.0), sigma=kw["vol"],
+        repo_rate=_resolve_rate(kw, "repo"), repo_haircut=kw.get("repo_haircut", 0.0),
+        rebate_rate=_resolve_rate(kw, "rebate"), sec_haircut=kw.get("sec_haircut", 0.0),
         no_repo=kw.get("no_repo", False))
-
-
-def _fanout(fn, items: list, workers: int = 4) -> list:
-    """Run fn over items concurrently, gathering results in input order."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 @click.group()
@@ -298,10 +292,11 @@ def price(ctx: click.Context, **kw) -> None:
             raise ConfigError("--portfolio and --kind are mutually exclusive")
         if kw["engine"] == "analytic":
             raise ConfigError("--engine analytic: books need the PDE engine")
-        _price_book(load_portfolio(kw["portfolio_path"]), config, kw)
-        return
-    if kind is None:
+        book = load_portfolio(kw["portfolio_path"])
+    elif kind is None:
         raise ConfigError("--kind is required unless --portfolio is given")
+    else:
+        book = Portfolio.single(kind, strike, expiry, style=kw["style"])
 
     if kw["engine"] == "analytic":
         if kw["style"] == "american":
@@ -309,69 +304,33 @@ def price(ctx: click.Context, **kw) -> None:
                               "exercise; use --engine pde")
         mid = bs_price(kind, spot, strike, expiry, config.r, config.q, config.sigma)
         if config.is_degenerate():
-            bid_q = ask_q = mid
+            bid = ask = mid
         else:
-            bid_q = long_position_price(kind, spot, strike, expiry, config)
+            bid = long_position_price(kind, spot, strike, expiry, config)
             if config.repo_haircut != 0.0 or config.sec_haircut != 0.0:
                 raise ConfigError(
                     "--engine analytic: the ask has a closed form only with zero "
                     "haircuts; use --engine pde")
-            _, ask_q = zero_haircut_quotes(kind, spot, strike, expiry, config)
-        quotes = {"bid": bid_q, "ask": ask_q, "riskfree": mid}
+            _, ask = zero_haircut_quotes(kind, spot, strike, expiry, config)
     else:
-        portfolio = Portfolio.single(kind, strike, expiry, style=kw["style"])
-        grid = PdeGrid.for_portfolio(spot, portfolio, config,
+        grid = PdeGrid.for_portfolio(spot, book, config,
                                      n_nodes=kw["nodes"], dt=kw["dt"])
-        run = solve_american if kw["style"] == "american" else solve
-        def quote(side: Side):
-            # greeks are sensitivities of the quoted (positive) price
-            res = run(portfolio, side, config, grid)
-            sign = side.position_sign
-            return dataclasses.replace(
-                bs_price(kind, spot, strike, expiry, config.r, config.q, config.sigma),
-                price=abs(res.value), delta=sign * res.delta, gamma=sign * res.gamma)
-        rf = quote(Side.RISK_FREE)
+        bid, ask = quote(book, config, grid)
         if config.is_degenerate():
-            quotes = {"bid": rf, "ask": rf, "riskfree": rf}
+            mid = bid
         else:
-            quotes = {"bid": quote(Side.BID), "ask": quote(Side.ASK), "riskfree": rf}
+            mid, _ = quote(book, config.degenerate(), grid)
 
-    side = kw["side"]
-    greek_source = quotes["riskfree"] if side in ("all", "riskfree") else quotes[side]
-    _emit_quote_payload(quotes["bid"].price, quotes["ask"].price,
-                        quotes["riskfree"].price, greek_source.delta,
-                        greek_source.gamma, kw)
-
-
-def _price_book(portfolio: Portfolio, config: FundingConfig, kw) -> None:
-    grid = PdeGrid.for_portfolio(kw["spot"], portfolio, config,
-                                 n_nodes=kw["nodes"], dt=kw["dt"])
-    run = solve_american if portfolio.style == "american" else solve
-    rf = run(portfolio, Side.RISK_FREE, config, grid)
-    rf_q = (rf.value, rf.delta, rf.gamma)
-    if config.is_degenerate():
-        bid_q = ask_q = rf_q
-    else:
-        bid = run(portfolio, Side.BID, config, grid)
-        ask = run(portfolio, Side.ASK, config, grid)
-        bid_q = (bid.value, bid.delta, bid.gamma)
-        ask_q = (-ask.value, -ask.delta, -ask.gamma)
-    side = kw["side"]
-    _, delta, gamma = {"bid": bid_q, "ask": ask_q, "riskfree": rf_q,
-                       "all": rf_q}[side]
-    _emit_quote_payload(bid_q[0], ask_q[0], rf_q[0], delta, gamma, kw)
-
-
-def _emit_quote_payload(bid: float, ask: float, mid: float, delta: float,
-                        gamma: float, kw) -> None:
+    # --side all reports the risk-free greeks
+    greeks = {"bid": bid, "ask": ask}.get(kw["side"], mid)
     payload = {
-        "bid": bid,
-        "ask": ask,
-        "mid_reference": mid,
-        "f_b": mid - bid,
-        "f_a": ask - mid,
-        "delta": delta,
-        "gamma": gamma,
+        "bid": bid.price,
+        "ask": ask.price,
+        "mid_reference": mid.price,
+        "f_b": mid.price - bid.price,
+        "f_a": ask.price - mid.price,
+        "delta": greeks.delta,
+        "gamma": greeks.gamma,
     }
     if kw["fmt"] == "json":
         _emit(_json_text({k: float(v) for k, v in payload.items()}), kw["output"])
@@ -411,37 +370,28 @@ def fva_curve(ctx: click.Context, **kw) -> None:
     spreads = [i * kw["spread_step"] for i in range(n + 1)]
 
     use_pde = kw["engine"] == "pde"
-    grid = PdeGrid.build(spot, strike, vol, expiry, n_nodes=kw["nodes"], dt=kw["dt"]) \
-        if use_pde else None
     if use_pde:
+        book = Portfolio.single(kind, strike, expiry)
+        grid = PdeGrid.build(spot, strike, vol, expiry, n_nodes=kw["nodes"], dt=kw["dt"])
         # same-grid reference so discretization bias cancels in the adjustment
-        reference = solve(Portfolio.single(kind, strike, expiry), Side.RISK_FREE,
+        reference = solve(book, Side.RISK_FREE,
                           FundingConfig.classic(r=r, sigma=vol, q=q), grid).value
     else:
         reference = bs_price(kind, spot, strike, expiry, r, q, vol).price
 
-    def case_config(case, spread: float) -> FundingConfig:
-        _, haircut, repo_spread = case
-        return FundingConfig(
-            r=r, r_b=r + spread, q=q, sigma=vol,
-            repo_rate=r + (repo_spread or 0.0), repo_haircut=haircut or 0.0,
-            rebate_rate=r - (repo_spread or 0.0), sec_haircut=haircut or 0.0,
-            no_repo=haircut is None)
-
-    def one(task) -> float:
-        case, spread = task
-        config = case_config(case, spread)
-        if use_pde:
-            res = solve(Portfolio.single(kind, strike, expiry), Side.BID, config, grid)
-            bid = res.value
-        else:
-            bid = long_position_price(kind, spot, strike, expiry, config).price
-        return 100.0 * (reference - bid) / reference
-
-    tasks = [(case, sp) for case in FVA_CURVE_CASES for sp in spreads]
-    values = _fanout(one, tasks) if use_pde else [one(t) for t in tasks]
-    rows = [[case[0], float(sp), float(v)]
-            for (case, sp), v in zip(tasks, values)]
+    rows = []
+    for name, haircut, repo_spread in FVA_CURVE_CASES:
+        for spread in spreads:
+            config = FundingConfig(
+                r=r, r_b=r + spread, q=q, sigma=vol,
+                repo_rate=r + (repo_spread or 0.0), repo_haircut=haircut or 0.0,
+                rebate_rate=r - (repo_spread or 0.0), sec_haircut=haircut or 0.0,
+                no_repo=haircut is None)
+            if use_pde:
+                bid = solve(book, Side.BID, config, grid).value
+            else:
+                bid = long_position_price(kind, spot, strike, expiry, config).price
+            rows.append([name, float(spread), float(100.0 * (reference - bid) / reference)])
     if kw["fmt"] == "json":
         payload = [{"case": c, "spread": s, "fva_percent": v} for c, s, v in rows]
         _emit(_json_text(payload), kw["output"])
@@ -477,13 +427,12 @@ def netting(ctx: click.Context, **kw) -> None:
     if not expiries:
         raise ConfigError("--expiries: need at least one expiry")
 
-    def one(expiry: float):
+    reports = []
+    for expiry in expiries:
         portfolio = build_strategy(kw["strategy"], strikes, expiry)
         grid = PdeGrid.for_portfolio(kw["spot"], portfolio, config,
                                      n_nodes=kw["nodes"], dt=kw["dt"])
-        return netting_report(portfolio, config, grid)
-
-    reports = _fanout(one, expiries)
+        reports.append(netting_report(portfolio, config, grid))
     if kw["fmt"] == "json":
         payload = [{"strategy": kw["strategy"], "expiry": t, **rep.to_dict()}
                    for t, rep in zip(expiries, reports)]
@@ -649,9 +598,8 @@ def spread_demo(ctx: click.Context, **kw) -> None:
             portfolio = Portfolio.single(kind, strike, expiry)
             grid = PdeGrid.for_portfolio(spot, portfolio, config,
                                          n_nodes=kw["nodes"], dt=kw["dt"])
-            bid = solve(portfolio, Side.BID, config, grid).value
-            ask = -solve(portfolio, Side.ASK, config, grid).value
-            model[kind] = ask - bid
+            bid, ask = quote(portfolio, config, grid)
+            model[kind] = ask.price - bid.price
         rows.append([strike, float(row["call_spread"]), model["call"],
                      float(row["put_spread"]), model["put"],
                      float(sigma)])

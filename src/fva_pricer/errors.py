@@ -6,7 +6,15 @@ class PricingError(Exception):
 
 
 class ConfigError(PricingError, ValueError):
-    """Invalid market, instrument, or solver configuration."""
+    """Invalid market, instrument, or solver configuration.
+
+    `field` names the offending input (a FundingConfig or grid field such
+    as "r_b" or "dt") when a single input is at fault, else None.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidRateOrder(ConfigError):
@@ -38,7 +46,7 @@ class PriceOutOfBounds(PricingError):
 
 
 class NoConvergence(PricingError):
-    """The funding-boundary iteration exhausted its iteration budget."""
+    """An iteration exhausted its budget; the message says where it stopped."""
 
 
 class PsorDiverged(NoConvergence):

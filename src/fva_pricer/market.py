@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
@@ -103,26 +104,36 @@ class FundingConfig:
 def validate(config: FundingConfig) -> None:
     """Check every FundingConfig invariant, raising on the first violation.
 
+    Each error's `field` names the offending FundingConfig field.
+
     Raises:
+        ConfigError: a rate, the dividend yield or sigma is not finite
         InvalidRateOrder: rate ordering rebate <= r <= r_b or repo >= r broken
         InvalidHaircut: a haircut outside [0, 1)
         NonPositiveVol: sigma <= 0
     """
+    for name in ("r", "r_b", "q", "sigma", "repo_rate", "rebate_rate"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}={value} must be finite", field=name)
     if config.r_b < config.r:
         raise InvalidRateOrder(
-            f"unsecured rate r_b={config.r_b} must be >= deposit rate r={config.r}")
+            f"unsecured rate r_b={config.r_b} must be >= deposit rate r={config.r}",
+            field="r_b")
     if config.rebate_rate > config.r:
         raise InvalidRateOrder(
-            f"rebate rate {config.rebate_rate} must be <= deposit rate r={config.r}")
+            f"rebate rate {config.rebate_rate} must be <= deposit rate r={config.r}",
+            field="rebate_rate")
     if config.repo_rate < config.r:
         raise InvalidRateOrder(
-            f"repo rate {config.repo_rate} must be >= deposit rate r={config.r}")
+            f"repo rate {config.repo_rate} must be >= deposit rate r={config.r}",
+            field="repo_rate")
     for name, h in (("repo_haircut", config.repo_haircut),
                     ("sec_haircut", config.sec_haircut)):
         if not 0.0 <= h < 1.0:
-            raise InvalidHaircut(f"{name}={h} outside [0, 1)")
+            raise InvalidHaircut(f"{name}={h} outside [0, 1)", field=name)
     if not config.sigma > 0.0:
-        raise NonPositiveVol(f"sigma={config.sigma} must be > 0")
+        raise NonPositiveVol(f"sigma={config.sigma} must be > 0", field="sigma")
 
 
 @dataclass(frozen=True)
@@ -147,10 +158,10 @@ class OptionLeg:
             raise ConfigError(f"kind must be 'call' or 'put', got {self.kind!r}")
         if self.style not in ("european", "american"):
             raise ConfigError(f"style must be 'european' or 'american', got {self.style!r}")
-        if not self.strike > 0.0:
-            raise ConfigError(f"strike={self.strike} must be > 0")
-        if self.quantity == 0.0:
-            raise ConfigError("quantity must be nonzero")
+        if not (math.isfinite(self.strike) and self.strike > 0.0):
+            raise ConfigError(f"strike={self.strike} must be finite and > 0")
+        if not (math.isfinite(self.quantity) and self.quantity != 0.0):
+            raise ConfigError(f"quantity={self.quantity} must be finite and nonzero")
 
     def intrinsic(self, s: float | np.ndarray) -> float | np.ndarray:
         if self.kind == "call":
@@ -169,8 +180,8 @@ class Portfolio:
         if not self.legs:
             raise ConfigError("portfolio needs at least one leg")
         object.__setattr__(self, "legs", tuple(self.legs))
-        if not self.expiry > 0.0:
-            raise ConfigError(f"expiry={self.expiry} must be > 0")
+        if not (math.isfinite(self.expiry) and self.expiry > 0.0):
+            raise ConfigError(f"expiry={self.expiry} must be finite and > 0")
         styles = {leg.style for leg in self.legs}
         if len(styles) > 1:
             raise ConfigError("mixed exercise styles in one portfolio are not supported")

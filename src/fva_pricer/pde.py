@@ -76,8 +76,11 @@ class PdeGrid:
         s_max is at least max(4 * max_strike, spot * exp(4 * sigma * sqrt(T)))
         so the zero-gamma boundary sits far outside the payoff's curvature.
         """
-        if not (spot > 0 and max_strike > 0 and sigma > 0 and expiry > 0):
-            raise ConfigError("spot, max_strike, sigma, expiry must be > 0")
+        for name, value in (("spot", spot), ("expiry", expiry), ("dt", dt)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+        if not (max_strike > 0 and sigma > 0):
+            raise ConfigError("max_strike and sigma must be > 0")
         if n_nodes < 16:
             raise GridTooCoarse(f"n_nodes={n_nodes} is too small")
         s_target = max(4.0 * max_strike, spot * math.exp(4.0 * sigma * math.sqrt(expiry)))
@@ -117,6 +120,8 @@ class SolverParams:
     def __post_init__(self) -> None:
         if self.funding_iter_tol is not None and not self.funding_iter_tol > 0:
             raise ConfigError("funding_iter_tol must be > 0")
+        if self.funding_max_iters < 1:
+            raise ConfigError("funding_max_iters must be >= 1")
         if not 0 < self.psor_omega < 2:
             raise ConfigError(f"psor_omega={self.psor_omega} must lie in (0, 2)")
 
@@ -303,6 +308,7 @@ class _Stepper:
         self.expiry = portfolio.expiry
         self.boundary: list[tuple[float, float]] = []
         self.upwinded = 0
+        self.step = 0
 
     def _term_gap(self, a: _Pattern, b: _Pattern) -> float:
         gap = np.maximum(a.arg, 0.0) - np.maximum(b.arg, 0.0)
@@ -312,6 +318,16 @@ class _Stepper:
         if change >= self.tol:
             return False
         return _pattern_stable(new, old) or self._term_gap(new, old) < self.tol
+
+    def no_convergence(self, change: float, new: _Pattern, old: _Pattern) -> NoConvergence:
+        """Budget-exhausted error naming the step, the last change and the flips."""
+        t = self.expiry - (self.step + 1) * self.grid.dt
+        flips = int(np.count_nonzero(new.ind != old.ind))
+        return NoConvergence(
+            f"funding-boundary iteration exceeded {self.params.funding_max_iters} "
+            f"iterations at step {self.step} (t={t:.6g}): last change {change:.3g} "
+            f"against tolerance {self.tol:.3g}, {flips} indicator flips in the "
+            "last iterate")
 
     def schedule(self, step: int) -> list[tuple[float, float]]:
         """(dt, theta) substeps for one top-level step."""
@@ -360,12 +376,11 @@ def _european_substep(st: _Stepper, dts: float, theta: float) -> None:
         new_pat = _pattern(u_new, st.s, st.ds, st.config)
         u_prev = u_new
         done = st._converged(change, new_pat, pat)
-        pat = new_pat
+        old, pat = pat, new_pat
         if done:
             st.u, st.pat = u_new, pat
             return
-    raise NoConvergence(
-        f"funding-boundary iteration exceeded {st.params.funding_max_iters} iterations")
+    raise st.no_convergence(change, pat, old)
 
 
 def _psor(x: np.ndarray, A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
@@ -438,17 +453,17 @@ def _american_substep(st: _Stepper, dts: float, theta: float) -> None:
         new_pat = _pattern(x, st.s, st.ds, st.config)
         u_prev = x
         done = st._converged(change, new_pat, pat)
-        pat = new_pat
+        old, pat = pat, new_pat
         if done:
             st.u, st.pat = x, pat
             return
-    raise NoConvergence(
-        f"funding-boundary iteration exceeded {st.params.funding_max_iters} iterations")
+    raise st.no_convergence(change, pat, old)
 
 
 def _run(st: _Stepper, substep, collect_profiles: bool = False) -> list[np.ndarray] | None:
     profiles = [st.u.copy()] if collect_profiles else None
     for step in range(st.grid.n_steps):
+        st.step = step
         for dts, theta in st.schedule(step):
             substep(st, dts, theta)
         st.record_boundary(step)

@@ -1,9 +1,10 @@
-"""Strategy builders and netting analysis.
+"""Bid/ask quotes of a book, strategy builders and netting analysis.
 
-A multi-leg book financed as one economy only funds its net stock position,
-so its funding-induced bid/ask spread is narrower than the sum of per-leg
-spreads.  `netting_report` quantifies that gap by pricing the book once as a
-whole and once leg by leg.
+`quote` prices a book on both sides of the market: the bid is the long
+book, the ask the short book.  A multi-leg book financed as one economy only
+funds its net stock position, so its funding-induced bid/ask spread is
+narrower than the sum of per-leg spreads.  `netting_report` quantifies that
+gap by quoting the book once as a whole and once leg by leg.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
+from .analytic import BsQuote
 from .errors import BadStrikes
 from .market import FundingConfig, OptionLeg, Portfolio, Side
 from .pde import PdeGrid, SolverParams, solve, solve_american
@@ -83,8 +85,22 @@ def build_strategy(name: str, strikes: Sequence[float], expiry: float,
     return Portfolio(legs=legs, expiry=expiry)
 
 
-def _solver(portfolio: Portfolio):
-    return solve_american if portfolio.style == "american" else solve
+def quote(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
+          params: SolverParams = SolverParams()) -> tuple[BsQuote, BsQuote]:
+    """Bid and ask of a book, each with the greeks of its quoted price.
+
+    The bid solves the long book, the ask the short book (quoted as minus
+    its position value); American books go through solve_american.  With
+    every funding rate at r both sides are the classic price and one solve
+    serves both, so the mid is quote(portfolio, config.degenerate(), grid)[0].
+    """
+    run = solve_american if portfolio.style == "american" else solve
+    res = run(portfolio, Side.BID, config, grid, params)
+    bid = BsQuote(res.value, res.delta, res.gamma)
+    if config.is_degenerate():
+        return bid, bid
+    res = run(portfolio, Side.ASK, config, grid, params)
+    return bid, BsQuote(-res.value, -res.delta, -res.gamma)
 
 
 def netting_report(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
@@ -95,22 +111,18 @@ def netting_report(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
     own funding accounts: long legs contribute their bid, short legs their
     ask, and the roles swap on the other side of the book quote.
     """
-    run = _solver(portfolio)
-    netted_bid = run(portfolio, Side.BID, config, grid, params).value
-    netted_ask = -run(portfolio, Side.ASK, config, grid, params).value
-
+    netted_bid, netted_ask = quote(portfolio, config, grid, params)
     synthetic_bid = 0.0
     synthetic_ask = 0.0
     for leg in portfolio.legs:
         unit = Portfolio(legs=(dataclasses.replace(leg, quantity=1.0),),
                          expiry=portfolio.expiry)
-        leg_bid = run(unit, Side.BID, config, grid, params).value
-        leg_ask = -run(unit, Side.ASK, config, grid, params).value
+        leg_bid, leg_ask = quote(unit, config, grid, params)
         if leg.quantity > 0:
-            synthetic_bid += leg.quantity * leg_bid
-            synthetic_ask += leg.quantity * leg_ask
+            synthetic_bid += leg.quantity * leg_bid.price
+            synthetic_ask += leg.quantity * leg_ask.price
         else:
-            synthetic_bid += leg.quantity * leg_ask
-            synthetic_ask += leg.quantity * leg_bid
-    return NettingReport(netted_bid=netted_bid, netted_ask=netted_ask,
+            synthetic_bid += leg.quantity * leg_ask.price
+            synthetic_ask += leg.quantity * leg_bid.price
+    return NettingReport(netted_bid=netted_bid.price, netted_ask=netted_ask.price,
                          synthetic_bid=synthetic_bid, synthetic_ask=synthetic_ask)

@@ -58,6 +58,31 @@ class TestFundingConfigValidation:
         with pytest.raises(NonPositiveVol):
             FundingConfig.classic(r=0.10, sigma=0.0)
 
+    @pytest.mark.parametrize("field", ["r", "r_b", "q", "sigma", "repo_rate",
+                                       "rebate_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_input_rejected_with_its_field(self, field, value):
+        base = dict(r=0.10, r_b=0.12, q=0.0, sigma=0.5, repo_rate=0.11,
+                    repo_haircut=0.0, rebate_rate=0.09, sec_haircut=0.0)
+        base[field] = value
+        with pytest.raises(ConfigError) as info:
+            FundingConfig(**base)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("kw,error,field", [
+        (dict(r_b=0.07), InvalidRateOrder, "r_b"),
+        (dict(rebate_rate=0.11), InvalidRateOrder, "rebate_rate"),
+        (dict(repo_rate=0.09), InvalidRateOrder, "repo_rate"),
+        (dict(sec_haircut=1.0), InvalidHaircut, "sec_haircut"),
+        (dict(sigma=0.0), NonPositiveVol, "sigma"),
+    ])
+    def test_rule_violations_name_their_field(self, kw, error, field):
+        base = dict(r=0.10, r_b=0.12, q=0.0, sigma=0.5, repo_rate=0.11,
+                    repo_haircut=0.0, rebate_rate=0.09, sec_haircut=0.0)
+        with pytest.raises(error) as info:
+            FundingConfig(**{**base, **kw})
+        assert info.value.field == field
+
     def test_degenerate_collapses_rates_and_keeps_haircuts(self, funded_config):
         deg = funded_config.degenerate()
         assert deg.r_b == deg.repo_rate == deg.rebate_rate == deg.r
@@ -73,12 +98,18 @@ class TestLegAndPortfolio:
             OptionLeg("call", 100.0, quantity=0.0)
         with pytest.raises(ConfigError):
             OptionLeg("swaption", 100.0)
+        with pytest.raises(ConfigError):
+            OptionLeg("call", float("inf"))
+        with pytest.raises(ConfigError):
+            OptionLeg("call", 100.0, quantity=float("nan"))
 
     def test_portfolio_needs_legs_and_positive_expiry(self):
         with pytest.raises(ConfigError):
             Portfolio(legs=(), expiry=1.0)
         with pytest.raises(ConfigError):
             Portfolio.single("call", 100.0, expiry=0.0)
+        with pytest.raises(ConfigError):
+            Portfolio.single("call", 100.0, expiry=float("inf"))
 
     def test_mixed_styles_forbidden(self):
         legs = (OptionLeg("call", 100.0, 1.0, "european"),

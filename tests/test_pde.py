@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ class TestGrid:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(GridTooCoarse):
             PdeGrid.build(100, 100, 0.5, 2.0, n_nodes=20, dt=0.02)
+
+    @pytest.mark.parametrize("field,kw", [
+        ("spot", dict(spot=float("inf"))),
+        ("spot", dict(spot=-1.0)),
+        ("expiry", dict(expiry=float("nan"))),
+        ("dt", dict(dt=0.0)),
+        ("dt", dict(dt=float("nan"))),
+        ("dt", dict(dt=float("inf"))),
+    ])
+    def test_nonfinite_or_nonpositive_input_rejected(self, field, kw):
+        args = dict(spot=100.0, max_strike=100.0, sigma=0.5, expiry=2.0, dt=0.02)
+        with pytest.raises(ConfigError) as info:
+            PdeGrid.build(**{**args, **kw})
+        assert info.value.field == field
 
     def test_hand_built_grid_validated(self):
         with pytest.raises(ConfigError):
@@ -249,6 +264,22 @@ class TestSolverErrors:
         params = SolverParams(funding_iter_tol=1e-18, funding_max_iters=1)
         with pytest.raises(NoConvergence):
             solve(book, Side.BID, cfg, coarse_grid, params)
+
+    def test_exhausted_budget_says_where_it_stopped(self, coarse_grid):
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
+                          sec_haircut=0.15)
+        params = SolverParams(funding_max_iters=1)
+        with pytest.raises(NoConvergence) as info:
+            solve(single("put"), Side.BID, cfg, coarse_grid, params)
+        message = str(info.value)
+        # the coarse grid's first step ends at t = 2 - 0.04
+        assert "exceeded 1 iterations at step 0 (t=1.96)" in message
+        assert re.search(r"last change \S+ against tolerance 1e-08, \d+ indicator "
+                         r"flips in the last iterate", message), message
+
+    def test_empty_funding_budget_rejected(self):
+        with pytest.raises(ConfigError):
+            SolverParams(funding_max_iters=0)
 
     def test_american_legs_rejected_by_european_solver(self, classic_config,
                                                        coarse_grid):

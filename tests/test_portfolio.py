@@ -1,7 +1,11 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fva_pricer import (
     BadStrikes,
+    FundingConfig,
     OptionLeg,
     PdeGrid,
     Portfolio,
@@ -9,7 +13,9 @@ from fva_pricer import (
     bs_price,
     build_strategy,
     netting_report,
+    quote,
     solve,
+    solve_american,
 )
 from conftest import EXPIRY, SPOT, STRIKE, make_config
 
@@ -108,3 +114,55 @@ class TestNettingReport:
         payload = rep.to_dict()
         assert payload["netting_effect"] == pytest.approx(
             payload["synthetic_spread"] - payload["netted_spread"])
+
+
+@st.composite
+def funded_quote_cases(draw):
+    """A valid funded config (spreads and haircuts may be zero) and a vanilla."""
+    r = draw(st.floats(0.0, 0.12))
+    cfg = FundingConfig(
+        r=r, r_b=r + draw(st.floats(0.0, 0.06)), q=draw(st.floats(0.0, 0.05)),
+        sigma=draw(st.floats(0.1, 0.5)),
+        repo_rate=r + draw(st.floats(0.0, 0.03)),
+        repo_haircut=draw(st.floats(0.0, 0.9)),
+        rebate_rate=r - draw(st.floats(0.0, 0.03)),
+        sec_haircut=draw(st.floats(0.0, 0.9)),
+        no_repo=draw(st.booleans()))
+    book = Portfolio.single(draw(st.sampled_from(["call", "put"])),
+                            draw(st.floats(60.0, 140.0)), draw(st.floats(0.25, 2.0)))
+    return cfg, book
+
+
+class TestQuote:
+    def test_sides_are_the_long_and_short_solves(self):
+        cfg = make_config(**FUNDED)
+        pf = build_strategy("bull", [95, 105], EXPIRY)
+        grid = grid_for(pf, cfg, nodes=200, dt=0.1)
+        bid, ask = quote(pf, cfg, grid)
+        long_ = solve(pf, Side.BID, cfg, grid)
+        short = solve(pf, Side.ASK, cfg, grid)
+        assert (bid.price, bid.delta, bid.gamma) == (long_.value, long_.delta, long_.gamma)
+        assert (ask.price, ask.delta, ask.gamma) == (-short.value, -short.delta,
+                                                     -short.gamma)
+
+    def test_american_book_uses_the_exercise_solver(self):
+        cfg = make_config(**FUNDED)
+        pf = Portfolio.single("put", STRIKE, EXPIRY, style="american")
+        grid = grid_for(pf, cfg, nodes=200, dt=0.1)
+        bid, ask = quote(pf, cfg, grid)
+        assert bid.price == solve_american(pf, Side.BID, cfg, grid).value
+        assert ask.price == -solve_american(pf, Side.ASK, cfg, grid).value
+
+    @settings(max_examples=25, deadline=None)
+    @given(funded_quote_cases())
+    def test_bid_mid_ask_ordered_and_finite(self, case):
+        cfg, book = case
+        grid = PdeGrid.for_portfolio(SPOT, book, cfg, n_nodes=200, dt=0.1)
+        bid, ask = quote(book, cfg, grid)
+        mid, mid_ask = quote(book, cfg.degenerate(), grid)
+        # a degenerate config quotes one price on both sides
+        assert mid == mid_ask
+        for q in (bid, ask, mid):
+            assert all(math.isfinite(x) for x in (q.price, q.delta, q.gamma))
+        assert bid.price <= mid.price + 1e-6
+        assert mid.price <= ask.price + 1e-6
