@@ -60,6 +60,12 @@ def _check_domain(spot: float, strike: float, expiry: float, sigma: float) -> No
             "must all be finite and > 0")
 
 
+def _check_rates(rate: float, dividend_yield: float) -> None:
+    for name, value in (("r", rate), ("q", dividend_yield)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}={value} must be finite", field=name)
+
+
 def _forward_quote(kind: OptionKind, forward: float, strike: float, expiry: float,
                    discount_rate: float, sigma: float, spot: float) -> BsQuote:
     """Lognormal quote for a given forward and discount rate.
@@ -88,9 +94,10 @@ def bs_price(kind: OptionKind, spot: float, strike: float, expiry: float,
 
     Raises:
         ConfigError: on a non-finite or non-positive spot, strike, expiry,
-            or sigma.
+            or sigma, or a non-finite rate or dividend yield.
     """
     _check_domain(spot, strike, expiry, sigma)
+    _check_rates(rate, dividend_yield)
     forward = spot * math.exp((rate - dividend_yield) * expiry)
     return _forward_quote(kind, forward, strike, expiry, rate, sigma, spot)
 
@@ -180,6 +187,7 @@ def implied_vol(kind: OptionKind, spot: float, strike: float, expiry: float,
     if not (spot > 0 and strike > 0 and expiry > 0):
         raise ConfigError(
             f"spot={spot}, strike={strike}, expiry={expiry} must all be > 0")
+    _check_rates(rate, dividend_yield)
     lower, upper = _price_bounds(kind, spot, strike, expiry, rate, dividend_yield)
     if not lower < target_price < upper:
         raise PriceOutOfBounds(

@@ -58,7 +58,14 @@ FIELD_FLAGS = {
     "spot": ("--spot",),
     "expiry": ("--expiry",),
     "dt": ("--dt",),
+    "steps": ("--steps",),
+    "paths": ("--paths",),
+    "spread_step": ("--spread-step",),
+    "spread_max": ("--spread-max",),
 }
+
+# most spreads one fva-curve case may sweep
+MAX_CURVE_SPREADS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -366,8 +373,17 @@ def fva_curve(ctx: click.Context, **kw) -> None:
     kw = _apply_config_file(ctx, kw)
     r, vol, q = kw["rate"], kw["vol"], kw["dividend_yield"]
     kind, spot, strike, expiry = kw["kind"], kw["spot"], kw["strike"], kw["expiry"]
-    n = int(round(kw["spread_max"] / kw["spread_step"]))
-    spreads = [i * kw["spread_step"] for i in range(n + 1)]
+    step, top = kw["spread_step"], kw["spread_max"]
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"spread_step={step} must be finite and > 0",
+                          field="spread_step")
+    if not (math.isfinite(top) and top >= 0):
+        raise ConfigError(f"spread_max={top} must be finite and >= 0", field="spread_max")
+    if top / step > MAX_CURVE_SPREADS:
+        raise ConfigError(f"spread_max/spread_step={top / step:.6g} exceeds "
+                          f"{MAX_CURVE_SPREADS} spreads", field="spread_step")
+    n = int(round(top / step))
+    spreads = [i * step for i in range(n + 1)]
 
     use_pde = kw["engine"] == "pde"
     if use_pde:

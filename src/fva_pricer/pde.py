@@ -5,6 +5,13 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
 * an iterative resolution of the nonlinear unsecured-funding term (the
   funding indicator and the signed haircut are frozen per inner iteration,
   each inner solve is a single tridiagonal system),
+* region tables: with the pattern frozen each node lies in one of four
+  funding regions (unsecured debt or none, long or short stock), so the
+  operator diagonals of all four are built once per solve and every inner
+  iteration gathers its operator from them by region code,
+* a direct call of LAPACK gtsv for each tridiagonal solve, the routine
+  ``solve_banded((1, 1), ...)`` wraps, without the wrapper's per-call
+  validation and band-matrix copy,
 * zero-gamma boundary conditions imposed by writing the convection-reaction
   equation at the half node nearest each boundary, which keeps the system
   tridiagonal,
@@ -24,10 +31,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, GridTooCoarse, NoConvergence, PsorDiverged
-from .funding import financing_arrays
+from .funding import financing_arrays, select_financing
 from .market import FundingConfig, Portfolio, Side, terminal_payoff
 
 _BOUNDARY_BLOCK = 8
@@ -149,9 +157,9 @@ class _Pattern(NamedTuple):
     """Per-node funding localization of one iterate."""
 
     h: np.ndarray       # signed haircut keyed off the holding sign
-    rp: np.ndarray      # secured financing rate
     ind: np.ndarray     # 1.0 where the unsecured debt balance is positive
     arg: np.ndarray     # debt basis U - h * S * dU/dS
+    region: np.ndarray  # 2 * ind + (stock holding >= 0): row of the region tables
 
 
 def _slope(u: np.ndarray, ds: float) -> np.ndarray:
@@ -164,9 +172,11 @@ def _slope(u: np.ndarray, ds: float) -> np.ndarray:
 
 def _pattern(u: np.ndarray, s: np.ndarray, ds: float, config: FundingConfig) -> _Pattern:
     slope = _slope(u, ds)
-    h, rp = financing_arrays(-slope, config)
+    h, _ = financing_arrays(-slope, config)
     arg = u - h * s * slope
-    return _Pattern(h=h, rp=rp, ind=(arg > 0.0).astype(float), arg=arg)
+    debt = arg > 0.0
+    return _Pattern(h=h, ind=debt.astype(float), arg=arg,
+                    region=2 * debt + (slope <= 0.0))
 
 
 def _pattern_stable(a: _Pattern, b: _Pattern) -> bool:
@@ -186,44 +196,72 @@ class _Operator(NamedTuple):
     upwinded: int
 
 
-def _assemble_operator(pat: _Pattern, s: np.ndarray, ds: float,
-                       config: FundingConfig) -> _Operator:
-    """Linearized operator with the funding pattern frozen.
+class _RegionTables(NamedTuple):
+    """Operator of each of the four funding regions, one row per region.
+
+    Row 2 * ind + long holds the region with debt indicator `ind` and a long
+    (1) or short (0) stock holding; `operator` gathers a node's coefficients
+    from the row of its region.
+    """
+
+    lo: np.ndarray      # (4, n) sub-diagonal after the cell-Peclet guard
+    di: np.ndarray      # (4, n) diagonal
+    up: np.ndarray      # (4, n) super-diagonal
+    upwind: np.ndarray  # (4, n) True where the guard made convection one-sided
+    a_conv: np.ndarray  # (4, n) convection coefficient, for the half-node rows
+    rho: np.ndarray     # (4,) discount rate, for the half-node rows
+    cols: np.ndarray    # arange(n)
+
+    def operator(self, region: np.ndarray) -> "_Operator":
+        """The operator whose node j takes column j of row region[j] of each table."""
+        cols, a, rho = self.cols, self.a_conv, self.rho
+        flat = region * cols.size + cols
+        return _Operator(
+            lo=self.lo.take(flat), di=self.di.take(flat), up=self.up.take(flat),
+            a_lo_half=0.5 * (a[region[0], 0] + a[region[1], 1]),
+            rho_lo_half=0.5 * (rho[region[0]] + rho[region[1]]),
+            a_hi_half=0.5 * (a[region[-2], -2] + a[region[-1], -1]),
+            rho_hi_half=0.5 * (rho[region[-2]] + rho[region[-1]]),
+            upwinded=int(np.count_nonzero(self.upwind.take(flat))))
+
+
+def _region_tables(s: np.ndarray, ds: float, config: FundingConfig) -> _RegionTables:
+    """Linearized operator of each funding region.
 
     With the indicator frozen the funding term is linear: it adds
     ind * spread * h to the stock drift coefficient and ind * spread to the
     discount rate, so each region carries its own lognormal operator.
     """
     spread = config.spread
-    r_s = config.r + (1.0 - pat.h) * (pat.rp - config.r)
-    a_conv = (r_s - config.q + pat.ind * spread * pat.h) * s
-    rho = config.r + pat.ind * spread
     n = s.size
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
+    lo = np.zeros((4, n))
+    di = np.zeros((4, n))
+    up = np.zeros((4, n))
+    upwind = np.zeros((4, n), dtype=bool)
+    a_conv = np.empty((4, n))
+    rho = np.empty(4)
     i = np.arange(1, n - 1)
     diff = 0.5 * config.sigma ** 2 * s[i] ** 2 / ds ** 2
-    conv = a_conv[i] / (2.0 * ds)
-    lo[i] = diff - conv
-    di[i] = -2.0 * diff - rho[i]
-    up[i] = diff + conv
-    # cell-Peclet guard: one-sided convection where central would oscillate
-    pe = np.abs(a_conv[i]) * ds > config.sigma ** 2 * s[i] ** 2
-    upwinded = int(np.count_nonzero(pe))
-    if upwinded:
-        ii = i[pe]
-        pos = a_conv[ii] > 0
-        lo[ii] = diff[pe] - np.where(pos, 0.0, a_conv[ii] / ds)
-        di[ii] = -2.0 * diff[pe] - rho[ii] - np.abs(a_conv[ii]) / ds
-        up[ii] = diff[pe] + np.where(pos, a_conv[ii] / ds, 0.0)
-    return _Operator(
-        lo=lo, di=di, up=up,
-        a_lo_half=0.5 * (a_conv[0] + a_conv[1]),
-        rho_lo_half=0.5 * (rho[0] + rho[1]),
-        a_hi_half=0.5 * (a_conv[-2] + a_conv[-1]),
-        rho_hi_half=0.5 * (rho[-2] + rho[-1]),
-        upwinded=upwinded)
+    for region in range(4):
+        ind, long_stock = divmod(region, 2)
+        sel = select_financing(1 if long_stock else -1, config)
+        a = a_conv[region] = (sel.r_s - config.q + float(ind) * spread * sel.h_signed) * s
+        r = rho[region] = config.r + float(ind) * spread
+        conv = a[i] / (2.0 * ds)
+        lo[region, i] = diff - conv
+        di[region, i] = -2.0 * diff - r
+        up[region, i] = diff + conv
+        # cell-Peclet guard: one-sided convection where central would oscillate
+        pe = np.abs(a[i]) * ds > config.sigma ** 2 * s[i] ** 2
+        if pe.any():
+            ii = i[pe]
+            pos = a[ii] > 0
+            lo[region, ii] = diff[pe] - np.where(pos, 0.0, a[ii] / ds)
+            di[region, ii] = -2.0 * diff[pe] - r - np.abs(a[ii]) / ds
+            up[region, ii] = diff[pe] + np.where(pos, a[ii] / ds, 0.0)
+            upwind[region, ii] = True
+    return _RegionTables(lo=lo, di=di, up=up, upwind=upwind, a_conv=a_conv, rho=rho,
+                         cols=np.arange(n))
 
 
 def apply_boundary(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
@@ -276,14 +314,23 @@ def _rhs_vector(u: np.ndarray, op: _Operator, ds: float, dts: float,
     return rhs
 
 
-def _banded_solve(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    n = A_di.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = A_up[:-1]
-    ab[1] = A_di
-    ab[2, :-1] = A_lo[1:]
-    return solve_banded((1, 1), ab, rhs)
+def _tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+            rhs: np.ndarray) -> np.ndarray:
+    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i] for x.
+
+    lower[0] and upper[-1] lie outside the matrix and are ignored.  LAPACK
+    gtsv is called directly; the inputs are not overwritten.
+
+    Raises:
+        LinAlgError: the matrix is singular
+        ValueError: the solution is not finite
+    """
+    x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)[3:]
+    if info != 0:
+        raise LinAlgError("singular matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("tridiagonal solve produced non-finite values")
+    return x
 
 
 class _Stepper:
@@ -304,6 +351,7 @@ class _Stepper:
         self.tol = params.funding_iter_tol
         if self.tol is None:
             self.tol = 1e-10 * portfolio.max_strike
+        self.tables = _region_tables(self.s, self.ds, config)
         self.pat = _pattern(self.u, self.s, self.ds, config)
         self.expiry = portfolio.expiry
         self.boundary: list[tuple[float, float]] = []
@@ -363,15 +411,14 @@ class _Stepper:
 
 def _european_substep(st: _Stepper, dts: float, theta: float) -> None:
     """One theta-step: tridiagonal solves iterated to a fixed funding pattern."""
-    op = _assemble_operator(st.pat, st.s, st.ds, st.config)
+    op = st.tables.operator(st.pat.region)
     rhs = _rhs_vector(st.u, op, st.ds, dts, theta)
     pat = st.pat
     u_prev = st.u
     for _ in range(st.params.funding_max_iters):
-        op = _assemble_operator(pat, st.s, st.ds, st.config)
         st.upwinded = max(st.upwinded, op.upwinded)
         A_lo, A_di, A_up = _implicit_system(op, st.ds, dts, theta)
-        u_new = _banded_solve(A_lo, A_di, A_up, rhs)
+        u_new = _tridiag(A_lo, A_di, A_up, rhs)
         change = float(np.max(np.abs(u_new - u_prev)))
         new_pat = _pattern(u_new, st.s, st.ds, st.config)
         u_prev = u_new
@@ -380,6 +427,7 @@ def _european_substep(st: _Stepper, dts: float, theta: float) -> None:
         if done:
             st.u, st.pat = u_new, pat
             return
+        op = st.tables.operator(pat.region)
     raise st.no_convergence(change, pat, old)
 
 
@@ -438,15 +486,14 @@ def _american_substep(st: _Stepper, dts: float, theta: float) -> None:
     refreshed between sweep blocks until both are stable.
     """
     obstacle = st.sign * st.payoff
-    op = _assemble_operator(st.pat, st.s, st.ds, st.config)
+    op = st.tables.operator(st.pat.region)
     rhs = _rhs_vector(st.u, op, st.ds, dts, theta)
     pat = st.pat
     u_prev = st.u
     for _ in range(st.params.funding_max_iters):
-        op = _assemble_operator(pat, st.s, st.ds, st.config)
         st.upwinded = max(st.upwinded, op.upwinded)
         A_lo, A_di, A_up = _implicit_system(op, st.ds, dts, theta)
-        x = _banded_solve(A_lo, A_di, A_up, rhs)
+        x = _tridiag(A_lo, A_di, A_up, rhs)
         x = np.maximum(x, obstacle) if st.sign > 0 else np.minimum(x, obstacle)
         _psor(x, A_lo, A_di, A_up, rhs, obstacle, st.sign, st.params)
         change = float(np.max(np.abs(x - u_prev)))
@@ -457,6 +504,7 @@ def _american_substep(st: _Stepper, dts: float, theta: float) -> None:
         if done:
             st.u, st.pat = x, pat
             return
+        op = st.tables.operator(pat.region)
     raise st.no_convergence(change, pat, old)
 
 

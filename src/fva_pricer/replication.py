@@ -24,10 +24,20 @@ from typing import Protocol
 import numpy as np
 
 from . import analytic
-from .errors import OracleUnavailable
+from .errors import ConfigError, OracleUnavailable
 from .funding import financing_arrays, select_financing
 from .market import FundingConfig, OptionLeg, Portfolio, Side
 from .pde import PdeGrid, SolverParams, solve_surface
+
+
+def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int = 1) -> None:
+    """Reject a non-finite or non-positive spot or expiry, or fewer than one step or path."""
+    for name, value in (("spot", spot), ("expiry", expiry)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+    for name, value in (("steps", n_steps), ("paths", n_paths)):
+        if value < 1:
+            raise ConfigError(f"{name}={value} must be >= 1", field=name)
 
 
 class PricingOracle(Protocol):
@@ -150,6 +160,7 @@ class PdeOracle:
                  params: SolverParams = SolverParams()):
         if option.style != "european":
             raise OracleUnavailable("hedge simulation covers European options only")
+        _check_hedge_inputs(spot, expiry, n_steps)
         portfolio = Portfolio(legs=(option,), expiry=expiry)
         grid = PdeGrid.build(spot, option.strike, config.sigma, expiry,
                              n_nodes=n_nodes, dt=expiry / n_steps)
@@ -202,7 +213,12 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
 
     Randomness comes from a counter-based generator: a fixed seed yields
     identical paths on every run.
+
+    Raises:
+        ConfigError: a non-finite or non-positive spot or expiry, or
+            n_steps or n_paths below 1
     """
+    _check_hedge_inputs(spot, expiry, n_steps, n_paths)
     if side is Side.RISK_FREE:
         config = config.degenerate()
     if oracle is None:

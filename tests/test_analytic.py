@@ -51,6 +51,18 @@ class TestBlackScholes:
         with pytest.raises(ConfigError):
             bs_price("call", 100, 100, 2.0, 0.10, 0.0, 0.0)
 
+    @pytest.mark.parametrize("rate,q,field", [
+        (math.nan, 0.0, "r"), (math.inf, 0.0, "r"),
+        (0.10, math.nan, "q"), (0.10, -math.inf, "q"),
+    ])
+    def test_nonfinite_rate_or_yield_rejected(self, rate, q, field):
+        with pytest.raises(ConfigError) as info:
+            bs_price("put", 100, 100, 2.0, rate, q, 0.5)
+        assert info.value.field == field
+        with pytest.raises(ConfigError) as info:
+            implied_vol("put", 100, 100, 2.0, rate, q, 10.0)
+        assert info.value.field == field
+
     @given(spot=st.floats(20, 500), strike=st.floats(20, 500),
            expiry=st.floats(0.05, 5), rate=st.floats(0.0, 0.15),
            q=st.floats(0.0, 0.08), sigma=st.floats(0.05, 1.5))

@@ -31,15 +31,36 @@ def test_nonfinite_price_inputs_exit_2_naming_the_flag(args, flag):
     assert result.stderr.startswith(f"error: {flag}: ConfigError, ")
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["fva-curve", "--spread-step", "0"], "--spread-step"),
+    (["fva-curve", "--spread-step", "nan"], "--spread-step"),
+    (["fva-curve", "--spread-step", "-0.01"], "--spread-step"),
+    (["fva-curve", "--spread-max", "inf"], "--spread-max"),
+    (["fva-curve", "--spread-max", "-0.02"], "--spread-max"),
+    (["fva-curve", "--spread-max", "1e300", "--spread-step", "1e-300"], "--spread-step"),
+    (["simulate", "--kind", "put", "--seed", "1", "--spot", "inf"], "--spot"),
+    (["simulate", "--kind", "put", "--seed", "1", "--expiry", "0"], "--expiry"),
+    (["simulate", "--kind", "put", "--seed", "1", "--steps", "0"], "--steps"),
+    (["simulate", "--kind", "put", "--seed", "1", "--paths", "0"], "--paths"),
+    (["simulate", "--kind", "put", "--seed", "1", "--steps", "0", "--oracle", "pde"],
+     "--steps"),
+])
+def test_invalid_sweep_and_simulate_inputs_exit_2_naming_the_flag(args, flag):
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {flag}: ConfigError, ")
+
+
 def test_flags_named_only_where_the_command_has_them():
     # spread-demo sets both haircuts from one flag
     result = invoke(["spread-demo", "--haircut", "1.2"])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: --haircut: InvalidHaircut, ")
-    # fva-curve has no borrow flag; its spreads come from the sweep
-    result = invoke(["fva-curve", "--spread-max", "-0.02", "--spread-step", "-0.01"])
+    # spread-demo derives the rebate rate from --repo-spread and has no rebate flag
+    result = invoke(["spread-demo", "--repo-spread", "-0.01"])
     assert result.exit_code == 2
-    assert result.stderr.startswith("error: unsecured rate r_b=")
+    assert result.stderr.startswith("error: rebate rate ")
 
 
 @pytest.mark.parametrize("style", ["european", "american"])

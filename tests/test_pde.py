@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from fva_pricer import (
     ConfigError,
@@ -18,6 +20,8 @@ from fva_pricer import (
     solve,
     zero_haircut_spread,
 )
+from fva_pricer.funding import financing_arrays, select_financing
+from fva_pricer.pde import _pattern, _region_tables, _tridiag
 from conftest import EXPIRY, RATE, SPOT, STRIKE, VOL, make_config
 
 
@@ -290,3 +294,110 @@ class TestSolverErrors:
     def test_bad_omega_rejected(self):
         with pytest.raises(ConfigError):
             SolverParams(psor_omega=2.5)
+
+
+def direct_operator(h, rp, ind, s, ds, config):
+    """The funded operator built node by node from per-node h, rp and ind arrays."""
+    spread = config.spread
+    r_s = config.r + (1.0 - h) * (rp - config.r)
+    a_conv = (r_s - config.q + ind * spread * h) * s
+    rho = config.r + ind * spread
+    n = s.size
+    lo, di, up = np.zeros(n), np.zeros(n), np.zeros(n)
+    upwinded = 0
+    for j in range(1, n - 1):
+        diff = 0.5 * config.sigma ** 2 * s[j] ** 2 / ds ** 2
+        a = a_conv[j]
+        if abs(a) * ds > config.sigma ** 2 * s[j] ** 2:
+            upwinded += 1
+            lo[j] = diff - (0.0 if a > 0 else a / ds)
+            di[j] = -2.0 * diff - rho[j] - abs(a) / ds
+            up[j] = diff + (a / ds if a > 0 else 0.0)
+        else:
+            lo[j] = diff - a / (2.0 * ds)
+            di[j] = -2.0 * diff - rho[j]
+            up[j] = diff + a / (2.0 * ds)
+    halves = (0.5 * (a_conv[0] + a_conv[1]), 0.5 * (rho[0] + rho[1]),
+              0.5 * (a_conv[-2] + a_conv[-1]), 0.5 * (rho[-2] + rho[-1]))
+    return lo, di, up, halves, upwinded
+
+
+OPERATOR_CONFIGS = {
+    "funded": make_config(spread=0.03, repo_spread=0.005, rebate_spread=-0.005,
+                          repo_haircut=0.25, sec_haircut=0.15),
+    "no_repo": dataclasses.replace(make_config(spread=0.03), no_repo=True),
+    "zero_haircut": make_config(spread=0.03, repo_spread=0.005),
+    "low_vol": make_config(spread=0.03, repo_spread=0.005, rebate_spread=-0.005,
+                           repo_haircut=0.25, sec_haircut=0.15, sigma=0.1, q=0.02),
+}
+
+
+class TestRegionTables:
+    @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gathered_operator_equals_direct_build(self, name, seed):
+        config = OPERATOR_CONFIGS[name]
+        grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=400, dt=0.04)
+        s, ds = grid.s_nodes, grid.ds
+        region = np.random.default_rng(seed).integers(0, 4, s.size)
+        ind, long_stock = np.divmod(region, 2)
+        h, rp = financing_arrays(np.where(long_stock == 1, 1.0, -1.0), config)
+        lo, di, up, halves, upwinded = direct_operator(h, rp, ind.astype(float), s, ds,
+                                                       config)
+        op = _region_tables(s, ds, config).operator(region)
+        for got, want in ((op.lo, lo), (op.di, di), (op.up, up)):
+            assert got.tobytes() == want.tobytes()
+        assert (op.a_lo_half, op.rho_lo_half, op.a_hi_half, op.rho_hi_half) == halves
+        assert op.upwinded == upwinded
+        if name == "low_vol":
+            assert upwinded > 0
+
+    @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
+    def test_pattern_region_matches_its_financing(self, name):
+        config = OPERATOR_CONFIGS[name]
+        grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=400, dt=0.04)
+        u = np.random.default_rng(7).normal(size=grid.s_nodes.size)
+        pat = _pattern(u, grid.s_nodes, grid.ds, config)
+        assert set(np.unique(pat.region)) == {0, 1, 2, 3}
+        np.testing.assert_array_equal(pat.ind, pat.region // 2)
+        haircut = [select_financing(-1, config).h_signed,
+                   select_financing(1, config).h_signed]
+        np.testing.assert_array_equal(pat.h, np.take(haircut, pat.region % 2))
+
+
+def banded(lower, diag, upper):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    return ab
+
+
+class TestTridiag:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_solve_banded(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 600))
+        lower, upper = rng.normal(size=n), rng.normal(size=n)
+        diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)) \
+            * rng.choice([-1.0, 1.0], n)
+        rhs = rng.normal(size=n)
+        args = (lower.copy(), diag.copy(), upper.copy(), rhs.copy())
+        x = _tridiag(*args)
+        assert x.tobytes() == solve_banded((1, 1), banded(lower, diag, upper),
+                                           rhs).tobytes()
+        for before, after in zip((lower, diag, upper, rhs), args):
+            np.testing.assert_array_equal(before, after)
+
+    def test_nan_rhs_raises(self):
+        ones = np.ones(5)
+        rhs = ones.copy()
+        rhs[2] = np.nan
+        with pytest.raises(ValueError):
+            _tridiag(ones, 4.0 * ones, ones, rhs)
+
+    def test_singular_matrix_raises(self):
+        diag = np.ones(5)
+        diag[3] = 0.0
+        with pytest.raises(LinAlgError, match="singular matrix"):
+            _tridiag(np.zeros(5), diag, np.zeros(5), np.ones(5))

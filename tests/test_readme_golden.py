@@ -46,6 +46,15 @@ CASES = {
     "price_american_funded": [
         "price", "--kind", "put", "--style", "american", *FUNDED,
         "--nodes", "200", "--dt", "0.05", "--format", "json"],
+    # a funded low-vol quote whose operator upwinds (11 bid, 9 ask nodes) and a
+    # straddle netted with the whole hedge funded unsecured
+    "price_funded_upwinded": [
+        "price", "--kind", "put", "--vol", "0.1", *FUNDED,
+        "--nodes", "400", "--dt", "0.04", "--format", "json"],
+    "netting_straddle_no_repo": [
+        "netting", "--strategy", "straddle", "--strikes", "100",
+        "--expiries", "0.5,1,2", "--borrow-spread", "0.03", "--no-repo",
+        "--nodes", "400", "--dt", "0.04"],
 }
 
 

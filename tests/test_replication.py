@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fva_pricer import (
+    ConfigError,
     FundingConfig,
     OptionLeg,
     OracleUnavailable,
@@ -54,6 +55,25 @@ class TestClassicReplication:
         b = simulate_hedge(PUT, SPOT, EXPIRY, Side.ASK, classic_config,
                            n_paths=500, n_steps=50, mu=0.1, seed=7)
         assert a == b
+
+
+class TestHedgeInputs:
+    @pytest.mark.parametrize("field,kw", [
+        ("spot", dict(spot=np.inf)), ("spot", dict(spot=0.0)),
+        ("expiry", dict(expiry=np.nan)), ("expiry", dict(expiry=-1.0)),
+        ("steps", dict(n_steps=0)), ("paths", dict(n_paths=0)),
+    ])
+    def test_invalid_input_rejected_with_its_field(self, classic_config, field, kw):
+        args = dict(spot=SPOT, expiry=EXPIRY, n_paths=10, n_steps=5) | kw
+        with pytest.raises(ConfigError) as info:
+            simulate_hedge(PUT, side=Side.ASK, config=classic_config, mu=0.0, seed=1,
+                           **args)
+        assert info.value.field == field
+
+    def test_pde_oracle_rejects_zero_steps(self, classic_config):
+        with pytest.raises(ConfigError) as info:
+            PdeOracle(PUT, SPOT, EXPIRY, Side.ASK, classic_config, n_steps=0)
+        assert info.value.field == "steps"
 
 
 class TestLedgerBookkeeping:
