@@ -56,8 +56,9 @@ FIELD_FLAGS = {
     "repo_haircut": ("--repo-haircut", "--haircut"),
     "sec_haircut": ("--sec-haircut", "--haircut"),
     "spot": ("--spot",),
-    "expiry": ("--expiry",),
+    "expiry": ("--expiry", "--expiries"),
     "dt": ("--dt",),
+    "portfolio": ("--portfolio",),
     "steps": ("--steps",),
     "paths": ("--paths",),
     "spread_step": ("--spread-step",),
@@ -167,12 +168,13 @@ def _apply_config_file(ctx: click.Context, kw: dict) -> dict:
 # shared option groups
 # ---------------------------------------------------------------------------
 
-def market_options(fn):
+def market_options(fn, expiry: bool = True):
+    """Market flags; netting leaves out --expiry and reads --expiries."""
     for deco in reversed([
         click.option("--spot", type=float, default=100.0, show_default=True,
                      help="Stock price."),
-        click.option("--expiry", type=float, default=2.0, show_default=True,
-                     help="Time to expiry in years."),
+        *([click.option("--expiry", type=float, default=2.0, show_default=True,
+                        help="Time to expiry in years.")] if expiry else []),
         click.option("--rate", type=float, default=0.10, show_default=True,
                      help="Risk-free deposit rate."),
         click.option("--vol", type=float, default=0.5, show_default=True,
@@ -299,7 +301,11 @@ def price(ctx: click.Context, **kw) -> None:
             raise ConfigError("--portfolio and --kind are mutually exclusive")
         if kw["engine"] == "analytic":
             raise ConfigError("--engine analytic: books need the PDE engine")
-        book = load_portfolio(kw["portfolio_path"])
+        try:
+            book = load_portfolio(kw["portfolio_path"])
+        except ConfigError as exc:  # the file set the value, not a flag
+            exc.field = "portfolio"
+            raise
     elif kind is None:
         raise ConfigError("--kind is required unless --portfolio is given")
     else:
@@ -425,7 +431,7 @@ def fva_curve(ctx: click.Context, **kw) -> None:
               help="Comma-separated strikes as the strategy requires.")
 @click.option("--expiries", type=str, default="0.5,1,2", show_default=True,
               help="Comma-separated expiries in years.")
-@market_options
+@functools.partial(market_options, expiry=False)
 @funding_options
 @grid_options(nodes_default=800)
 @output_options

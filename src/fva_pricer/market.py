@@ -181,7 +181,8 @@ class Portfolio:
             raise ConfigError("portfolio needs at least one leg")
         object.__setattr__(self, "legs", tuple(self.legs))
         if not (math.isfinite(self.expiry) and self.expiry > 0.0):
-            raise ConfigError(f"expiry={self.expiry} must be finite and > 0")
+            raise ConfigError(f"expiry={self.expiry} must be finite and > 0",
+                              field="expiry")
         styles = {leg.style for leg in self.legs}
         if len(styles) > 1:
             raise ConfigError("mixed exercise styles in one portfolio are not supported")

@@ -5,6 +5,10 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
 * an iterative resolution of the nonlinear unsecured-funding term (the
   funding indicator and the signed haircut are frozen per inner iteration,
   each inner solve is a single tridiagonal system),
+* one substep loop for European and American books, which stops once an
+  iterate's region codes equal those of the operator that produced it: the
+  next iteration would only repeat it, so it is charged to the budget but
+  not run (the policy-iteration rule of Huang, Forsyth & Labahn, 2012),
 * region tables: with the pattern frozen each node lies in one of four
   funding regions (unsecured debt or none, long or short stock), so the
   operator diagonals of all four are built once per solve and every inner
@@ -15,8 +19,7 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
 * zero-gamma boundary conditions imposed by writing the convection-reaction
   equation at the half node nearest each boundary, which keeps the system
   tridiagonal,
-* projected SOR for American exercise, modified to refresh the funding
-  localization between sweep blocks,
+* projected SOR for American exercise inside each funding iteration,
 * implicit-Euler startup steps to damp the payoff kink before the
   trapezoidal stepping takes over (disable with rannacher_steps=0).
 
@@ -177,10 +180,6 @@ def _pattern(u: np.ndarray, s: np.ndarray, ds: float, config: FundingConfig) -> 
     debt = arg > 0.0
     return _Pattern(h=h, ind=debt.astype(float), arg=arg,
                     region=2 * debt + (slope <= 0.0))
-
-
-def _pattern_stable(a: _Pattern, b: _Pattern) -> bool:
-    return np.array_equal(a.ind, b.ind) and np.array_equal(a.h, b.h)
 
 
 class _Operator(NamedTuple):
@@ -346,11 +345,10 @@ class _Stepper:
         self.params = params
         self.s = grid.s_nodes
         self.ds = grid.ds
-        self.payoff = np.asarray(terminal_payoff(portfolio, self.s), dtype=float)
-        self.u = self.sign * self.payoff
-        self.tol = params.funding_iter_tol
-        if self.tol is None:
-            self.tol = 1e-10 * portfolio.max_strike
+        self.u = self.sign * np.asarray(terminal_payoff(portfolio, self.s), dtype=float)
+        # exercise floor (long) or cap (short) of an American book
+        self.obstacle = self.u.copy() if portfolio.style == "american" else None
+        self.tol = params.funding_iter_tol or 1e-10 * portfolio.max_strike
         self.tables = _region_tables(self.s, self.ds, config)
         self.pat = _pattern(self.u, self.s, self.ds, config)
         self.expiry = portfolio.expiry
@@ -365,17 +363,27 @@ class _Stepper:
     def _converged(self, change: float, new: _Pattern, old: _Pattern) -> bool:
         if change >= self.tol:
             return False
-        return _pattern_stable(new, old) or self._term_gap(new, old) < self.tol
+        stable = np.array_equal(new.ind, old.ind) and np.array_equal(new.h, old.h)
+        return stable or self._term_gap(new, old) < self.tol
+
+    def _where(self) -> str:
+        t = self.expiry - (self.step + 1) * self.grid.dt
+        return f"at step {self.step} (t={t:.6g})"
 
     def no_convergence(self, change: float, new: _Pattern, old: _Pattern) -> NoConvergence:
         """Budget-exhausted error naming the step, the last change and the flips."""
-        t = self.expiry - (self.step + 1) * self.grid.dt
         flips = int(np.count_nonzero(new.ind != old.ind))
         return NoConvergence(
             f"funding-boundary iteration exceeded {self.params.funding_max_iters} "
-            f"iterations at step {self.step} (t={t:.6g}): last change {change:.3g} "
-            f"against tolerance {self.tol:.3g}, {flips} indicator flips in the "
-            "last iterate")
+            f"iterations {self._where()}: last change {change:.3g} against "
+            f"tolerance {self.tol:.3g}, {flips} indicator flips in the last iterate")
+
+    def psor_diverged(self, change: float) -> PsorDiverged:
+        """Sweep-budget error naming the step and the last sweep's change."""
+        return PsorDiverged(
+            f"projected SOR exceeded {self.params.psor_max_iters} sweeps "
+            f"{self._where()}: last change {change:.3g} against tolerance "
+            f"{self.params.psor_tol:.3g}")
 
     def schedule(self, step: int) -> list[tuple[float, float]]:
         """(dt, theta) substeps for one top-level step."""
@@ -409,38 +417,17 @@ class _Stepper:
             upwinded_nodes=self.upwinded)
 
 
-def _european_substep(st: _Stepper, dts: float, theta: float) -> None:
-    """One theta-step: tridiagonal solves iterated to a fixed funding pattern."""
-    op = st.tables.operator(st.pat.region)
-    rhs = _rhs_vector(st.u, op, st.ds, dts, theta)
-    pat = st.pat
-    u_prev = st.u
-    for _ in range(st.params.funding_max_iters):
-        st.upwinded = max(st.upwinded, op.upwinded)
-        A_lo, A_di, A_up = _implicit_system(op, st.ds, dts, theta)
-        u_new = _tridiag(A_lo, A_di, A_up, rhs)
-        change = float(np.max(np.abs(u_new - u_prev)))
-        new_pat = _pattern(u_new, st.s, st.ds, st.config)
-        u_prev = u_new
-        done = st._converged(change, new_pat, pat)
-        old, pat = pat, new_pat
-        if done:
-            st.u, st.pat = u_new, pat
-            return
-        op = st.tables.operator(pat.region)
-    raise st.no_convergence(change, pat, old)
-
-
 def _psor(x: np.ndarray, A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
           rhs: np.ndarray, obstacle: np.ndarray, sign: int,
-          params: SolverParams) -> int:
+          params: SolverParams) -> float:
     """Projected SOR sweeps until the sup-norm update drops below psor_tol.
 
     Red-black point relaxation over the interior; the outermost rows are
     relaxed as small direct blocks because the half-node boundary rows are
     convection dominated and point iteration would amplify there.
     Projection keeps x >= obstacle for a long book (sign +1) and
-    x <= obstacle for a short book.
+    x <= obstacle for a short book.  Returns the last sweep's change, which
+    is >= psor_tol only when the sweep budget ran out.
     """
     n = x.size
     kb = max(2, min(_BOUNDARY_BLOCK, (n - 2) // 2))
@@ -465,55 +452,60 @@ def _psor(x: np.ndarray, A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
         ab[2, :-1] = A_lo[idx[1:]]
         x[idx] = clip(solve_banded((1, 1), ab, b), idx)
 
-    for sweep in range(params.psor_max_iters):
+    change = math.inf
+    for _ in range(params.psor_max_iters):
         x_old = x.copy()
         for idx in groups:
             gs = (rhs[idx] - A_lo[idx] * x[idx - 1] - A_up[idx] * x[idx + 1]) / A_di[idx]
             x[idx] = clip(x[idx] + omega * (gs - x[idx]), idx)
         solve_block(0, kb - 1, False, True)
         solve_block(n - kb, n - 1, True, False)
-        if float(np.max(np.abs(x - x_old))) < params.psor_tol:
-            return sweep + 1
-    raise PsorDiverged(
-        f"projected SOR exceeded {params.psor_max_iters} sweeps")
+        change = float(np.max(np.abs(x - x_old)))
+        if change < params.psor_tol:
+            break
+    return change
 
 
-def _american_substep(st: _Stepper, dts: float, theta: float) -> None:
-    """One theta-step under the exercise constraint.
+def _substep(st: _Stepper, dts: float, theta: float) -> None:
+    """One theta-step: tridiagonal solves iterated to a fixed funding pattern.
 
-    The warm start projects the unconstrained tridiagonal solution; PSOR
-    then resolves the exercise region and the funding localization is
-    refreshed between sweep blocks until both are stable.
+    An American book projects each solve onto the exercise obstacle and
+    PSOR resolves the exercise region.  Once an iterate's region codes equal
+    those of its operator, the next iteration would repeat it bit for bit
+    and converge with change 0, so it is counted in the budget but not run.
     """
-    obstacle = st.sign * st.payoff
-    op = st.tables.operator(st.pat.region)
+    obstacle, params = st.obstacle, st.params
+    pat = st.pat  # its region codes gather the current operator
+    op = st.tables.operator(pat.region)
     rhs = _rhs_vector(st.u, op, st.ds, dts, theta)
-    pat = st.pat
     u_prev = st.u
-    for _ in range(st.params.funding_max_iters):
+    for it in range(params.funding_max_iters):
         st.upwinded = max(st.upwinded, op.upwinded)
         A_lo, A_di, A_up = _implicit_system(op, st.ds, dts, theta)
         x = _tridiag(A_lo, A_di, A_up, rhs)
-        x = np.maximum(x, obstacle) if st.sign > 0 else np.minimum(x, obstacle)
-        _psor(x, A_lo, A_di, A_up, rhs, obstacle, st.sign, st.params)
+        if obstacle is not None:
+            x = np.maximum(x, obstacle) if st.sign > 0 else np.minimum(x, obstacle)
+            sweep_change = _psor(x, A_lo, A_di, A_up, rhs, obstacle, st.sign, params)
+            if sweep_change >= params.psor_tol:
+                raise st.psor_diverged(sweep_change)
         change = float(np.max(np.abs(x - u_prev)))
         new_pat = _pattern(x, st.s, st.ds, st.config)
-        u_prev = x
-        done = st._converged(change, new_pat, pat)
-        old, pat = pat, new_pat
-        if done:
-            st.u, st.pat = x, pat
+        if st._converged(change, new_pat, pat) or (
+                np.array_equal(new_pat.region, pat.region)
+                and it + 1 < params.funding_max_iters):
+            st.u, st.pat = x, new_pat
             return
+        u_prev, old, pat = x, pat, new_pat
         op = st.tables.operator(pat.region)
     raise st.no_convergence(change, pat, old)
 
 
-def _run(st: _Stepper, substep, collect_profiles: bool = False) -> list[np.ndarray] | None:
+def _run(st: _Stepper, collect_profiles: bool = False) -> list[np.ndarray] | None:
     profiles = [st.u.copy()] if collect_profiles else None
     for step in range(st.grid.n_steps):
         st.step = step
         for dts, theta in st.schedule(step):
-            substep(st, dts, theta)
+            _substep(st, dts, theta)
         st.record_boundary(step)
         if collect_profiles:
             profiles.append(st.u.copy())
@@ -535,7 +527,7 @@ def solve(portfolio: Portfolio, side: Side, config: FundingConfig,
     if portfolio.style != "european":
         raise ConfigError("solve() handles European books; use solve_american()")
     st = _Stepper(portfolio, side, config, grid, params)
-    _run(st, _european_substep)
+    _run(st)
     return st.result()
 
 
@@ -553,7 +545,7 @@ def solve_american(portfolio: Portfolio, side: Side, config: FundingConfig,
     if portfolio.style != "american":
         raise ConfigError("solve_american() handles American books; use solve()")
     st = _Stepper(portfolio, side, config, grid, params)
-    _run(st, _american_substep)
+    _run(st)
     return st.result()
 
 
@@ -569,6 +561,6 @@ def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
     if portfolio.style != "european":
         raise ConfigError("solve_surface() handles European books only")
     st = _Stepper(portfolio, side, config, grid, params)
-    profiles = _run(st, _european_substep, collect_profiles=True)
+    profiles = _run(st, collect_profiles=True)
     taus = np.arange(grid.n_steps + 1) * grid.dt
     return taus, np.asarray(profiles)

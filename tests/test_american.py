@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fva_pricer import (
@@ -81,3 +83,14 @@ class TestAmericanErrors:
         with pytest.raises(PsorDiverged):
             solve_american(american("put"), Side.RISK_FREE, classic_config,
                            coarse_grid, params)
+
+    def test_sweep_budget_error_says_where_it_stopped(self, classic_config,
+                                                      coarse_grid):
+        params = SolverParams(psor_tol=1e-14, psor_max_iters=1)
+        with pytest.raises(PsorDiverged) as info:
+            solve_american(american("put"), Side.RISK_FREE, classic_config,
+                           coarse_grid, params)
+        message = str(info.value)
+        # the coarse grid's first step ends at t = 2 - 0.04
+        assert message.startswith("projected SOR exceeded 1 sweeps at step 0 (t=1.96): ")
+        assert re.search(r": last change \S+ against tolerance 1e-14$", message), message

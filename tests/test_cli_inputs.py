@@ -52,6 +52,32 @@ def test_invalid_sweep_and_simulate_inputs_exit_2_naming_the_flag(args, flag):
     assert result.stderr.startswith(f"error: {flag}: ConfigError, ")
 
 
+@pytest.mark.parametrize("expiries", ["nan", "0.5,-1", "0.5,inf", "0"])
+def test_bad_netting_expiry_names_expiries(expiries):
+    result = invoke(["netting", "--strategy", "bull", "--expiries", expiries])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: --expiries: ConfigError, expiry=")
+
+
+def test_netting_has_no_expiry_flag():
+    # netting prices every expiry of --expiries; a lone --expiry was ignored
+    result = invoke(["netting", "--strategy", "bull", "--expiry", "1"])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
+
+
+@pytest.mark.parametrize("payload", [
+    {"expiry": -1.0, "legs": [{"kind": "put", "strike": 100.0}]},
+    {"legs": [{"kind": "put", "strike": 100.0}]},
+])
+def test_bad_portfolio_file_names_portfolio(tmp_path, payload):
+    book = tmp_path / "book.json"
+    book.write_text(json.dumps(payload))
+    result = invoke(["price", "--portfolio", str(book)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: --portfolio: ConfigError, ")
+
+
 def test_flags_named_only_where_the_command_has_them():
     # spread-demo sets both haircuts from one flag
     result = invoke(["spread-demo", "--haircut", "1.2"])

@@ -20,6 +20,7 @@ from fva_pricer import (
     solve,
     zero_haircut_spread,
 )
+from fva_pricer import pde
 from fva_pricer.funding import financing_arrays, select_financing
 from fva_pricer.pde import _pattern, _region_tables, _tridiag
 from conftest import EXPIRY, RATE, SPOT, STRIKE, VOL, make_config
@@ -401,3 +402,84 @@ class TestTridiag:
         diag[3] = 0.0
         with pytest.raises(LinAlgError, match="singular matrix"):
             _tridiag(np.zeros(5), diag, np.zeros(5), np.ones(5))
+
+
+def confirming_substep(st, dts, theta):
+    """The substep without the repeat skip: it always runs the confirming solve."""
+    params, obstacle = st.params, st.obstacle
+    op = st.tables.operator(st.pat.region)
+    rhs = pde._rhs_vector(st.u, op, st.ds, dts, theta)
+    pat, u_prev = st.pat, st.u
+    for _ in range(params.funding_max_iters):
+        st.upwinded = max(st.upwinded, op.upwinded)
+        system = pde._implicit_system(op, st.ds, dts, theta)
+        x = pde._tridiag(*system, rhs)
+        if obstacle is not None:
+            x = np.maximum(x, obstacle) if st.sign > 0 else np.minimum(x, obstacle)
+            sweep_change = pde._psor(x, *system, rhs, obstacle, st.sign, params)
+            if sweep_change >= params.psor_tol:
+                raise st.psor_diverged(sweep_change)
+        change = float(np.max(np.abs(x - u_prev)))
+        new_pat = pde._pattern(x, st.s, st.ds, st.config)
+        done = st._converged(change, new_pat, pat)
+        u_prev, old, pat = x, pat, new_pat
+        if done:
+            st.u, st.pat = x, pat
+            return
+        op = st.tables.operator(pat.region)
+    raise st.no_convergence(change, pat, old)
+
+
+SKIP_CONFIGS = {
+    **OPERATOR_CONFIGS,
+    "spread_0": make_config(repo_spread=0.005, rebate_spread=-0.005,
+                            repo_haircut=0.25, sec_haircut=0.15),
+}
+SKIP_CASES = [(name, side) for name in sorted(SKIP_CONFIGS)
+              for side in (Side.BID, Side.ASK)] + [("funded", Side.RISK_FREE)]
+BULL = Portfolio(legs=(OptionLeg("call", 95.0, 1.0), OptionLeg("call", 105.0, -1.0)),
+                 expiry=EXPIRY)
+AMERICAN_PUT = Portfolio.single("put", STRIKE, EXPIRY, style="american")
+
+
+def fingerprint(entry, args):
+    """The bytes a solve produces, or the message of its NoConvergence."""
+    try:
+        result = getattr(pde, entry)(*args)
+    except NoConvergence as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if entry == "solve_surface":
+        return tuple(a.tobytes() for a in result)
+    return result.profile.tobytes(), result.funding_boundary, result.upwinded_nodes
+
+
+class TestRepeatSkip:
+    """Skipping the confirming re-solve leaves every output bit-identical."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 50])
+    @pytest.mark.parametrize("entry", ["solve", "solve_surface", "solve_american"])
+    @pytest.mark.parametrize("name,side", SKIP_CASES)
+    def test_matches_the_confirming_solve(self, monkeypatch, name, side, entry, budget):
+        config = SKIP_CONFIGS[name]
+        grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=200, dt=0.1)
+        book = AMERICAN_PUT if entry == "solve_american" else BULL
+        args = (book, side, config, grid, SolverParams(funding_max_iters=budget))
+        got = fingerprint(entry, args)
+        monkeypatch.setattr(pde, "_substep", confirming_substep)
+        assert got == fingerprint(entry, args)
+
+    def test_skip_runs_fewer_solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tridiag(*args)
+
+        monkeypatch.setattr(pde, "_tridiag", counted)
+        config = SKIP_CONFIGS["funded"]
+        grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=200, dt=0.1)
+        pde.solve(BULL, Side.BID, config, grid)
+        skipping = len(calls)
+        monkeypatch.setattr(pde, "_substep", confirming_substep)
+        pde.solve(BULL, Side.BID, config, grid)
+        assert skipping < 0.75 * (len(calls) - skipping)

@@ -55,6 +55,14 @@ CASES = {
         "netting", "--strategy", "straddle", "--strikes", "100",
         "--expiries", "0.5,1,2", "--borrow-spread", "0.03", "--no-repo",
         "--nodes", "400", "--dt", "0.04"],
+    # the PDE-surface hedge oracle, and a funded American call whose dividend
+    # makes early exercise bind
+    "simulate_pde_oracle": [
+        "simulate", "--kind", "put", "--side", "ask", *FUNDED, "--oracle", "pde",
+        "--nodes", "400", "--paths", "2000", "--steps", "100", "--seed", "7"],
+    "price_american_call_dividend": [
+        "price", "--kind", "call", "--style", "american", "--dividend-yield", "0.03",
+        *FUNDED, "--nodes", "200", "--dt", "0.05", "--format", "json"],
 }
 
 
