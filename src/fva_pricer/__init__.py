@@ -22,7 +22,6 @@ from .errors import (
     OracleUnavailable,
     PriceOutOfBounds,
     PricingError,
-    PsorDiverged,
 )
 from .funding import FinancingSelection, FundingAccounts, funding_accounts, funding_term, \
     fva, select_financing
@@ -59,7 +58,6 @@ __all__ = [
     "PriceOutOfBounds",
     "PricingError",
     "PricingResult",
-    "PsorDiverged",
     "Side",
     "SolverParams",
     "SpreadQuote",

@@ -49,9 +49,5 @@ class NoConvergence(PricingError):
     """An iteration exhausted its budget; the message says where it stopped."""
 
 
-class PsorDiverged(NoConvergence):
-    """Projected SOR sweeps exhausted their iteration budget."""
-
-
 class OracleUnavailable(PricingError):
     """No pricing oracle exists for the requested hedge simulation."""

@@ -19,7 +19,7 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
 * zero-gamma boundary conditions imposed by writing the convection-reaction
   equation at the half node nearest each boundary, which keeps the system
   tridiagonal,
-* projected SOR for American exercise inside each funding iteration,
+* American exercise as a second active set of that loop, its rows pinned to the obstacle,
 * implicit-Euler startup steps to damp the payoff kink before the
   trapezoidal stepping takes over (disable with rannacher_steps=0).
 
@@ -34,14 +34,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg import solve_banded  # noqa: F401  the name the benchmark tracer wraps
 from scipy.linalg.lapack import dgtsv
 
-from .errors import ConfigError, GridTooCoarse, NoConvergence, PsorDiverged
+from .errors import ConfigError, GridTooCoarse, NoConvergence
 from .funding import financing_arrays, select_financing
 from .market import FundingConfig, Portfolio, Side, terminal_payoff
-
-_BOUNDARY_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +113,7 @@ class PdeGrid:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Iteration tolerances of the funding and exercise solvers.
+    """Iteration tolerance and budget of the funding and exercise iteration.
 
     funding_iter_tol defaults to 1e-10 * max_strike when left unset.
     rannacher_steps counts initial steps run as two implicit half-steps
@@ -123,18 +122,17 @@ class SolverParams:
 
     funding_iter_tol: float | None = None
     funding_max_iters: int = 50
-    psor_omega: float = 1.2
-    psor_tol: float = 1e-8
-    psor_max_iters: int = 2000
     rannacher_steps: int = 2
 
     def __post_init__(self) -> None:
-        if self.funding_iter_tol is not None and not self.funding_iter_tol > 0:
-            raise ConfigError("funding_iter_tol must be > 0")
+        if self.funding_iter_tol is not None and not 0 < self.funding_iter_tol < math.inf:
+            raise ConfigError(f"funding_iter_tol={self.funding_iter_tol} must be finite and > 0",
+                              field="funding_iter_tol")
         if self.funding_max_iters < 1:
             raise ConfigError("funding_max_iters must be >= 1")
-        if not 0 < self.psor_omega < 2:
-            raise ConfigError(f"psor_omega={self.psor_omega} must lie in (0, 2)")
+        if self.rannacher_steps < 0:
+            raise ConfigError(f"rannacher_steps={self.rannacher_steps} must be >= 0",
+                              field="rannacher_steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +346,8 @@ class _Stepper:
         self.u = self.sign * np.asarray(terminal_payoff(portfolio, self.s), dtype=float)
         # exercise floor (long) or cap (short) of an American book
         self.obstacle = self.u.copy() if portfolio.style == "american" else None
+        # nodes whose row pins the value to the obstacle; carried across substeps
+        self.exercised = np.zeros(self.s.size, dtype=bool)
         self.tol = params.funding_iter_tol or 1e-10 * portfolio.max_strike
         self.tables = _region_tables(self.s, self.ds, config)
         self.pat = _pattern(self.u, self.s, self.ds, config)
@@ -370,20 +370,16 @@ class _Stepper:
         t = self.expiry - (self.step + 1) * self.grid.dt
         return f"at step {self.step} (t={t:.6g})"
 
-    def no_convergence(self, change: float, new: _Pattern, old: _Pattern) -> NoConvergence:
+    def no_convergence(self, change: float, new: _Pattern, old: _Pattern,
+                       new_ex: np.ndarray, old_ex: np.ndarray) -> NoConvergence:
         """Budget-exhausted error naming the step, the last change and the flips."""
         flips = int(np.count_nonzero(new.ind != old.ind))
+        exercise = "" if self.obstacle is None else \
+            f", {int(np.count_nonzero(new_ex != old_ex))} exercise-set changes"
         return NoConvergence(
             f"funding-boundary iteration exceeded {self.params.funding_max_iters} "
             f"iterations {self._where()}: last change {change:.3g} against "
-            f"tolerance {self.tol:.3g}, {flips} indicator flips in the last iterate")
-
-    def psor_diverged(self, change: float) -> PsorDiverged:
-        """Sweep-budget error naming the step and the last sweep's change."""
-        return PsorDiverged(
-            f"projected SOR exceeded {self.params.psor_max_iters} sweeps "
-            f"{self._where()}: last change {change:.3g} against tolerance "
-            f"{self.params.psor_tol:.3g}")
+            f"tolerance {self.tol:.3g}, {flips} indicator flips in the last iterate{exercise}")
 
     def schedule(self, step: int) -> list[tuple[float, float]]:
         """(dt, theta) substeps for one top-level step."""
@@ -417,87 +413,56 @@ class _Stepper:
             upwinded_nodes=self.upwinded)
 
 
-def _psor(x: np.ndarray, A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
-          rhs: np.ndarray, obstacle: np.ndarray, sign: int,
-          params: SolverParams) -> float:
-    """Projected SOR sweeps until the sup-norm update drops below psor_tol.
+def _pin_exercised(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
+                   rhs: np.ndarray, obstacle: np.ndarray, exercised: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The system with each exercised row replaced by x[j] = obstacle[j]."""
+    return (np.where(exercised, 0.0, A_lo), np.where(exercised, 1.0, A_di),
+            np.where(exercised, 0.0, A_up), np.where(exercised, obstacle, rhs))
 
-    Red-black point relaxation over the interior; the outermost rows are
-    relaxed as small direct blocks because the half-node boundary rows are
-    convection dominated and point iteration would amplify there.
-    Projection keeps x >= obstacle for a long book (sign +1) and
-    x <= obstacle for a short book.  Returns the last sweep's change, which
-    is >= psor_tol only when the sweep budget ran out.
-    """
-    n = x.size
-    kb = max(2, min(_BOUNDARY_BLOCK, (n - 2) // 2))
-    interior = np.arange(kb, n - kb)
-    groups = (interior[interior % 2 == 0], interior[interior % 2 == 1])
-    omega = params.psor_omega
 
-    def clip(vals: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        obs = obstacle[idx]
-        return np.maximum(vals, obs) if sign > 0 else np.minimum(vals, obs)
-
-    def solve_block(lo_idx: int, hi_idx: int, couple_lo: bool, couple_hi: bool) -> None:
-        idx = np.arange(lo_idx, hi_idx + 1)
-        b = rhs[idx].copy()
-        if couple_lo:
-            b[0] -= A_lo[lo_idx] * x[lo_idx - 1]
-        if couple_hi:
-            b[-1] -= A_up[hi_idx] * x[hi_idx + 1]
-        ab = np.zeros((3, idx.size))
-        ab[0, 1:] = A_up[idx[:-1]]
-        ab[1] = A_di[idx]
-        ab[2, :-1] = A_lo[idx[1:]]
-        x[idx] = clip(solve_banded((1, 1), ab, b), idx)
-
-    change = math.inf
-    for _ in range(params.psor_max_iters):
-        x_old = x.copy()
-        for idx in groups:
-            gs = (rhs[idx] - A_lo[idx] * x[idx - 1] - A_up[idx] * x[idx + 1]) / A_di[idx]
-            x[idx] = clip(x[idx] + omega * (gs - x[idx]), idx)
-        solve_block(0, kb - 1, False, True)
-        solve_block(n - kb, n - 1, True, False)
-        change = float(np.max(np.abs(x - x_old)))
-        if change < params.psor_tol:
-            break
-    return change
+def _residual(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
+              x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A x - rhs for the tridiagonal A of `_tridiag`."""
+    r = A_di * x - rhs
+    r[1:] += A_lo[1:] * x[:-1]
+    r[:-1] += A_up[:-1] * x[1:]
+    return r
 
 
 def _substep(st: _Stepper, dts: float, theta: float) -> None:
     """One theta-step: tridiagonal solves iterated to a fixed funding pattern.
 
-    An American book projects each solve onto the exercise obstacle and
-    PSOR resolves the exercise region.  Once an iterate's region codes equal
-    those of its operator, the next iteration would repeat it bit for bit
-    and converge with change 0, so it is counted in the budget but not run.
+    An American book also freezes its exercise set, whose rows read
+    x = obstacle; the next set is where sign * (x - obstacle) <=
+    sign * (A x - rhs) (Howard's rule).  Once an iterate's region codes and
+    exercise set equal those it was solved with, the next iteration would
+    repeat it bit for bit, so it is counted in the budget but not run.
     """
     obstacle, params = st.obstacle, st.params
-    pat = st.pat  # its region codes gather the current operator
+    pat, exercised = st.pat, st.exercised  # the sets the current system is built from
     op = st.tables.operator(pat.region)
     rhs = _rhs_vector(st.u, op, st.ds, dts, theta)
     u_prev = st.u
     for it in range(params.funding_max_iters):
         st.upwinded = max(st.upwinded, op.upwinded)
-        A_lo, A_di, A_up = _implicit_system(op, st.ds, dts, theta)
-        x = _tridiag(A_lo, A_di, A_up, rhs)
-        if obstacle is not None:
-            x = np.maximum(x, obstacle) if st.sign > 0 else np.minimum(x, obstacle)
-            sweep_change = _psor(x, A_lo, A_di, A_up, rhs, obstacle, st.sign, params)
-            if sweep_change >= params.psor_tol:
-                raise st.psor_diverged(sweep_change)
+        A = _implicit_system(op, st.ds, dts, theta)
+        system = (*A, rhs) if obstacle is None else _pin_exercised(*A, rhs, obstacle, exercised)
+        x = _tridiag(*system)
+        new_ex = exercised if obstacle is None else (
+            st.sign * (x - obstacle) <= st.sign * _residual(*A, x, rhs))
         change = float(np.max(np.abs(x - u_prev)))
         new_pat = _pattern(x, st.s, st.ds, st.config)
         if st._converged(change, new_pat, pat) or (
                 np.array_equal(new_pat.region, pat.region)
+                and (obstacle is None or np.array_equal(new_ex, exercised))
                 and it + 1 < params.funding_max_iters):
-            st.u, st.pat = x, new_pat
+            st.u, st.pat, st.exercised = x, new_pat, new_ex
             return
         u_prev, old, pat = x, pat, new_pat
+        old_ex, exercised = exercised, new_ex
         op = st.tables.operator(pat.region)
-    raise st.no_convergence(change, pat, old)
+    raise st.no_convergence(change, pat, old, exercised, old_ex)
 
 
 def _run(st: _Stepper, collect_profiles: bool = False) -> list[np.ndarray] | None:
@@ -540,7 +505,8 @@ def solve_american(portfolio: Portfolio, side: Side, config: FundingConfig,
     holder's optimal policy).
 
     Raises:
-        ConfigError, NoConvergence, PsorDiverged
+        ConfigError: invalid inputs or European legs (use solve)
+        NoConvergence: funding and exercise iteration budget exhausted
     """
     if portfolio.style != "american":
         raise ConfigError("solve_american() handles American books; use solve()")

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 These deliberately avoid the package's own code paths: closed forms are
-written against scipy.stats.norm, and American prices come from a
-Cox-Ross-Rubinstein binomial tree.
+written against scipy.stats.norm, American prices come from a
+Cox-Ross-Rubinstein binomial tree, and the discrete exercise problem of one
+time step is solved densely by a primal-dual active-set loop.
 """
 
 from __future__ import annotations
@@ -75,3 +76,29 @@ def crr_binomial(kind: str, spot: float, strike: float, expiry: float,
             intrinsic = nodes - strike if kind == "call" else strike - nodes
             values = np.maximum(values, intrinsic)
     return float(values[0])
+
+
+def lcp_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+              rhs: np.ndarray, obstacle: np.ndarray, sign: int) -> np.ndarray:
+    """Solve the obstacle problem of one implicit time step.
+
+    Finds x with sign * (A x - rhs) >= 0, sign * (x - obstacle) >= 0 and
+    their product zero, where A is the tridiagonal matrix with A[i, i-1] =
+    lower[i], A[i, i] = diag[i] and A[i, i+1] = upper[i].  The dense
+    primal-dual active-set method guesses the contact set, solves the
+    equality-constrained system with numpy.linalg.solve and moves every
+    node whose multiplier or constraint has the wrong sign, until the
+    guess repeats.
+    """
+    n = diag.size
+    a = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    contact = np.zeros(n, dtype=bool)
+    for _ in range(n + 2):
+        m = np.where(contact[:, None], np.eye(n), a)
+        x = np.linalg.solve(m, np.where(contact, obstacle, rhs))
+        multiplier = sign * (a @ x - rhs)
+        guess = multiplier - sign * (x - obstacle) > 0.0
+        if np.array_equal(guess, contact):
+            return x
+        contact = guess
+    raise RuntimeError("active-set loop did not settle")

@@ -118,7 +118,8 @@ class TestNettingReport:
 
 @st.composite
 def funded_quote_cases(draw):
-    """A valid funded config (spreads and haircuts may be zero) and a vanilla."""
+    """A valid funded config (spreads and haircuts may be zero) and a vanilla
+    of either exercise style."""
     r = draw(st.floats(0.0, 0.12))
     cfg = FundingConfig(
         r=r, r_b=r + draw(st.floats(0.0, 0.06)), q=draw(st.floats(0.0, 0.05)),
@@ -129,7 +130,8 @@ def funded_quote_cases(draw):
         sec_haircut=draw(st.floats(0.0, 0.9)),
         no_repo=draw(st.booleans()))
     book = Portfolio.single(draw(st.sampled_from(["call", "put"])),
-                            draw(st.floats(60.0, 140.0)), draw(st.floats(0.25, 2.0)))
+                            draw(st.floats(60.0, 140.0)), draw(st.floats(0.25, 2.0)),
+                            style=draw(st.sampled_from(["european", "american"])))
     return cfg, book
 
 
@@ -166,3 +168,9 @@ class TestQuote:
             assert all(math.isfinite(x) for x in (q.price, q.delta, q.gamma))
         assert bid.price <= mid.price + 1e-6
         assert mid.price <= ask.price + 1e-6
+        if book.style == "american":
+            leg = book.legs[0]
+            european = Portfolio.single(leg.kind, leg.strike, book.expiry)
+            eu_bid, eu_ask = quote(european, cfg, grid)
+            assert bid.price >= eu_bid.price - 1e-6
+            assert ask.price >= eu_ask.price - 1e-6
