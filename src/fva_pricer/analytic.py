@@ -1,9 +1,10 @@
-"""Closed-form pricing: classic Black-Scholes, the shifted-rate formula for
-long vanilla positions under funding costs, the zero-haircut bid/ask spread,
-and implied volatility.
+"""Closed-form pricing and implied volatility.
 
-Every function here is pure and accepts scalars; the normal CDF helpers also
-accept arrays so the hedge simulator can reuse them path-wise.
+The classic Black-Scholes price, the long position under funding costs
+(bid) and the short position under zero haircuts (ask) are one lognormal
+formula under shifted rates: `lognormal_rates` picks a side's growth and
+discount rate, and `lognormal` evaluates the formula on a scalar or an
+array of spots, so the hedge simulator calls it path-wise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.special import erfc
 
 from .errors import ConfigError, HaircutNotZero, NoConvergence, PriceOutOfBounds
 from .funding import select_financing
-from .market import FundingConfig, OptionKind
+from .market import FundingConfig, OptionKind, Side
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -53,112 +54,114 @@ class SpreadQuote:
     spread: float
 
 
-def _check_domain(spot: float, strike: float, expiry: float, sigma: float) -> None:
-    if not all(math.isfinite(x) and x > 0 for x in (spot, strike, expiry, sigma)):
-        raise ConfigError(
-            f"spot={spot}, strike={strike}, expiry={expiry}, sigma={sigma} "
-            "must all be finite and > 0")
+def lognormal_rates(kind: OptionKind, side: Side, config: FundingConfig
+                    ) -> tuple[float, float]:
+    """(growth, discount): the stock growth and discount rate of a side's closed form.
 
+    Risk-free or degenerate: r - q, discounted at r.  Bid: the long option's
+    hedge is one-sided, so the funding term is always active and the stock
+    grows at h*r_b + (1-h)*r_p - q, (h, r_p) set by the hedge trade,
+    discounted at r_b.  Ask, only under zero haircuts: a call grows at the
+    repo rate, a put at the rebate rate, discounted at r.
 
-def _check_rates(rate: float, dividend_yield: float) -> None:
-    for name, value in (("r", rate), ("q", dividend_yield)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name}={value} must be finite", field=name)
-
-
-def _forward_quote(kind: OptionKind, forward: float, strike: float, expiry: float,
-                   discount_rate: float, sigma: float, spot: float) -> BsQuote:
-    """Lognormal quote for a given forward and discount rate.
-
-    delta/gamma are taken with respect to `spot`, using that the forward is
-    proportional to spot so d(forward)/d(spot) = forward / spot.
+    Raises:
+        HaircutNotZero: the ask with a nonzero haircut or no_repo.
     """
-    sq = sigma * math.sqrt(expiry)
-    d1 = (math.log(forward / strike) + 0.5 * sigma * sigma * expiry) / sq
+    if side is Side.RISK_FREE or config.is_degenerate():
+        return config.r - config.q, config.r
+    if side is Side.BID:
+        sel = select_financing(-1 if kind == "call" else 1, config)
+        return (sel.h_signed * config.r_b + (1.0 - sel.h_signed) * sel.r_p_effective
+                - config.q), config.r_b
+    if config.repo_haircut != 0.0 or config.sec_haircut != 0.0 or config.no_repo:
+        raise HaircutNotZero(
+            f"the ask has a closed form only with both haircuts 0 and secured "
+            f"financing (repo={config.repo_haircut}, sec={config.sec_haircut}, "
+            f"no_repo={config.no_repo}); price it on the PDE")
+    growth = config.repo_rate if kind == "call" else config.rebate_rate
+    return growth - config.q, config.r
+
+
+def lognormal(kind: OptionKind, spot: float | np.ndarray, strike: float, tau: float,
+              growth: float, discount: float, sigma: float):
+    """(value, slope, d1) over life `tau` for a scalar or array `spot`.
+
+    Raises:
+        ConfigError: exp(growth*tau), exp(-discount*tau) or sigma**2 is out
+            of floating-point range.
+    """
+    try:
+        fs = math.exp(growth * tau)
+        df = math.exp(-discount * tau)
+        half_var = 0.5 * sigma ** 2
+    except OverflowError:
+        fs = 0.0
+    if fs == 0.0:  # an overflow above, or a forward too small to take its log
+        raise ConfigError(f"closed form out of range: growth {growth}, discount "
+                          f"{discount}, sigma {sigma} over {tau} years")
+    sq = sigma * math.sqrt(tau)
+    fwd = spot * fs
+    d1 = (np.log(fwd / strike) + half_var * tau) / sq
     d2 = d1 - sq
-    df = math.exp(-discount_rate * expiry)
-    fs = forward / spot
     if kind == "call":
-        price = df * (forward * float(norm_cdf(d1)) - strike * float(norm_cdf(d2)))
-        delta = df * fs * float(norm_cdf(d1))
+        n1 = norm_cdf(d1)
+        value = df * (fwd * n1 - strike * norm_cdf(d2))
+        slope = df * fs * n1
     else:
-        price = df * (strike * float(norm_cdf(-d2)) - forward * float(norm_cdf(-d1)))
-        delta = -df * fs * float(norm_cdf(-d1))
-    gamma = df * fs * float(norm_pdf(d1)) / (spot * sq)
-    return BsQuote(price=price, delta=delta, gamma=gamma)
+        n1 = norm_cdf(-d1)
+        value = df * (strike * norm_cdf(-d2) - fwd * n1)
+        slope = -df * fs * n1
+    return value, slope, d1
+
+
+@np.errstate(all="ignore")  # a non-finite result is rejected below
+def closed_form(kind: OptionKind, side: Side, spot: float, strike: float,
+                expiry: float, config: FundingConfig) -> BsQuote:
+    """Price, delta and gamma of one vanilla option on one side of the book.
+
+    Raises:
+        ConfigError: a non-finite or non-positive spot, strike or expiry, or
+            a result out of floating-point range.
+        HaircutNotZero: see `lognormal_rates`.
+    """
+    for name, value in (("spot", spot), ("strike", strike), ("expiry", expiry)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+    growth, discount = lognormal_rates(kind, side, config)
+    sigma = config.sigma
+    price, delta, d1 = lognormal(kind, spot, strike, expiry, growth, discount, sigma)
+    gamma = math.exp(-discount * expiry) * math.exp(growth * expiry) * norm_pdf(d1) \
+        / (spot * (sigma * math.sqrt(expiry)))
+    quote = BsQuote(price=float(price), delta=float(delta), gamma=float(gamma))
+    if not all(math.isfinite(x) for x in (quote.price, quote.delta, quote.gamma)):
+        raise ConfigError(f"closed form out of range: {quote}")
+    return quote
 
 
 def bs_price(kind: OptionKind, spot: float, strike: float, expiry: float,
              rate: float, dividend_yield: float, sigma: float) -> BsQuote:
-    """Classic Black-Scholes price, delta, and gamma with a continuous yield.
-
-    Raises:
-        ConfigError: on a non-finite or non-positive spot, strike, expiry,
-            or sigma, or a non-finite rate or dividend yield.
-    """
-    _check_domain(spot, strike, expiry, sigma)
-    _check_rates(rate, dividend_yield)
-    forward = spot * math.exp((rate - dividend_yield) * expiry)
-    return _forward_quote(kind, forward, strike, expiry, rate, sigma, spot)
+    """Classic Black-Scholes price, delta, and gamma with a continuous yield."""
+    config = FundingConfig.classic(r=rate, sigma=sigma, q=dividend_yield)
+    return closed_form(kind, Side.RISK_FREE, spot, strike, expiry, config)
 
 
 def long_position_price(kind: OptionKind, spot: float, strike: float,
                         expiry: float, config: FundingConfig) -> BsQuote:
-    """Value of a long vanilla position carried with funding costs.
-
-    The hedge of a long option is one-sided, so the nonlinear funding term
-    is always active and the PDE collapses to a lognormal form: the stock
-    drift becomes h*r_b + (1-h)*r_p - q with (h, r_p) chosen by the hedge
-    trade (long call hedges short stock, long put hedges long stock), and
-    discounting happens at the unsecured rate r_b.
-    """
-    _check_domain(spot, strike, expiry, config.sigma)
-    hedge_sign = -1 if kind == "call" else 1
-    sel = select_financing(hedge_sign, config)
-    drift = sel.h_signed * config.r_b + (1.0 - sel.h_signed) * sel.r_p_effective - config.q
-    forward = spot * math.exp(drift * expiry)
-    return _forward_quote(kind, forward, strike, expiry, config.r_b, config.sigma, spot)
+    """Value of a long vanilla position carried with funding costs (the bid)."""
+    return closed_form(kind, Side.BID, spot, strike, expiry, config)
 
 
 def zero_haircut_quotes(kind: OptionKind, spot: float, strike: float,
                         expiry: float, config: FundingConfig
                         ) -> tuple[BsQuote, BsQuote]:
-    """Full (bid, ask) quotes with greeks under zero haircuts.
-
-    Raises:
-        HaircutNotZero: if either haircut is nonzero.
-    """
-    if config.repo_haircut != 0.0 or config.sec_haircut != 0.0:
-        raise HaircutNotZero(
-            f"zero-haircut closed form requires both haircuts to be 0, got "
-            f"repo={config.repo_haircut}, sec={config.sec_haircut}")
-    if config.no_repo:
-        raise HaircutNotZero(
-            "no_repo funds the whole hedge unsecured (haircut +/-1); the "
-            "zero-haircut closed form does not apply")
-    _check_domain(spot, strike, expiry, config.sigma)
-    r1, r2 = config.repo_rate, config.rebate_rate
-    ask_growth, bid_growth = (r1, r2) if kind == "call" else (r2, r1)
-    f_ask = spot * math.exp((ask_growth - config.q) * expiry)
-    f_bid = spot * math.exp((bid_growth - config.q) * expiry)
-    ask = _forward_quote(kind, f_ask, strike, expiry, config.r, config.sigma, spot)
-    bid = _forward_quote(kind, f_bid, strike, expiry, config.r_b, config.sigma, spot)
-    return bid, ask
+    """Full (bid, ask) quotes with greeks under zero haircuts (see `lognormal_rates`)."""
+    return (closed_form(kind, Side.BID, spot, strike, expiry, config),
+            closed_form(kind, Side.ASK, spot, strike, expiry, config))
 
 
 def zero_haircut_spread(kind: OptionKind, spot: float, strike: float,
                         expiry: float, config: FundingConfig) -> SpreadQuote:
-    """Analytic bid/ask prices under zero haircuts.
-
-    For a call the ask (short position) grows the stock at the repo rate and
-    discounts at r; the bid (long position) grows at the rebate rate and
-    discounts at r_b.  For a put the two stock financing rates swap because
-    the hedges use the opposite side of the stock financing market, while
-    the discount rates stay tied to the side.
-
-    Raises:
-        HaircutNotZero: if either haircut is nonzero.
-    """
+    """Analytic bid/ask prices under zero haircuts (see `lognormal_rates`)."""
     bid, ask = zero_haircut_quotes(kind, spot, strike, expiry, config)
     return SpreadQuote(bid=bid.price, ask=ask.price, spread=ask.price - bid.price)
 
@@ -184,21 +187,17 @@ def implied_vol(kind: OptionKind, spot: float, strike: float, expiry: float,
         PriceOutOfBounds: target outside the static no-arbitrage interval
             or unreachable within the supported volatility range.
     """
-    if not (spot > 0 and strike > 0 and expiry > 0):
-        raise ConfigError(
-            f"spot={spot}, strike={strike}, expiry={expiry} must all be > 0")
-    _check_rates(rate, dividend_yield)
-    lower, upper = _price_bounds(kind, spot, strike, expiry, rate, dividend_yield)
-    if not lower < target_price < upper:
-        raise PriceOutOfBounds(
-            f"target {target_price} outside no-arbitrage bounds ({lower}, {upper})")
 
     def f(sig: float) -> float:
         return bs_price(kind, spot, strike, expiry, rate, dividend_yield, sig).price \
             - target_price
 
     lo, hi = VOL_LO, VOL_HI
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = f(lo), f(hi)  # bs_price validates the inputs
+    lower, upper = _price_bounds(kind, spot, strike, expiry, rate, dividend_yield)
+    if not lower < target_price < upper:
+        raise PriceOutOfBounds(
+            f"target {target_price} outside no-arbitrage bounds ({lower}, {upper})")
     if f_lo > 0 or f_hi < 0:
         raise PriceOutOfBounds(
             f"target {target_price} not attainable for sigma in [{VOL_LO}, {VOL_HI}]")
@@ -220,10 +219,8 @@ def implied_vol(kind: OptionKind, spot: float, strike: float, expiry: float,
 
 
 def bs_vega(kind: OptionKind, spot: float, strike: float, expiry: float,
-                     rate: float, dividend_yield: float, sigma: float) -> float:
+            rate: float, dividend_yield: float, sigma: float) -> float:
     """Black-Scholes vega (same for calls and puts)."""
-    sq = sigma * math.sqrt(expiry)
-    d1 = (math.log(spot / strike) + (rate - dividend_yield + 0.5 * sigma * sigma)
-          * expiry) / sq
+    d1 = lognormal(kind, spot, strike, expiry, rate - dividend_yield, rate, sigma)[2]
     return spot * math.exp(-dividend_yield * expiry) * float(norm_pdf(d1)) \
         * math.sqrt(expiry)

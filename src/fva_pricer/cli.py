@@ -25,10 +25,11 @@ import json
 import math
 import sys
 from importlib import resources
+from pathlib import Path
 
 import click
 
-from .analytic import bs_price, implied_vol, long_position_price, zero_haircut_quotes
+from .analytic import bs_price, closed_form, implied_vol, long_position_price
 from .errors import ConfigError, NoConvergence, PricingError
 from .market import FundingConfig, OptionLeg, Portfolio, Side, load_portfolio
 from .pde import PdeGrid, solve
@@ -56,9 +57,14 @@ FIELD_FLAGS = {
     "repo_haircut": ("--repo-haircut", "--haircut"),
     "sec_haircut": ("--sec-haircut", "--haircut"),
     "spot": ("--spot",),
+    "strike": ("--strike",),
     "expiry": ("--expiry", "--expiries"),
     "dt": ("--dt",),
     "portfolio": ("--portfolio",),
+    "fixture": ("--fixture",),
+    "config": ("--config",),
+    "mu": ("--mu",),
+    "seed": ("--seed",),
     "steps": ("--steps",),
     "paths": ("--paths",),
     "spread_step": ("--spread-step",),
@@ -129,16 +135,19 @@ def _handled(fn):
 # ---------------------------------------------------------------------------
 
 def _read_kv_file(path: str) -> dict[str, str]:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}", field="config") from exc
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"--config {path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value", field="config")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -156,7 +165,7 @@ def _apply_config_file(ctx: click.Context, kw: dict) -> dict:
     for name, raw in file_vals.items():
         param = by_name.get(name)
         if param is None:
-            raise ConfigError(f"--config: unknown key {name!r}")
+            raise ConfigError(f"unknown key {name!r}", field="config")
         src = ctx.get_parameter_source(param.name)
         if src is not None and src.name == "COMMANDLINE":
             continue
@@ -301,11 +310,7 @@ def price(ctx: click.Context, **kw) -> None:
             raise ConfigError("--portfolio and --kind are mutually exclusive")
         if kw["engine"] == "analytic":
             raise ConfigError("--engine analytic: books need the PDE engine")
-        try:
-            book = load_portfolio(kw["portfolio_path"])
-        except ConfigError as exc:  # the file set the value, not a flag
-            exc.field = "portfolio"
-            raise
+        book = load_portfolio(kw["portfolio_path"])
     elif kind is None:
         raise ConfigError("--kind is required unless --portfolio is given")
     else:
@@ -315,16 +320,8 @@ def price(ctx: click.Context, **kw) -> None:
         if kw["style"] == "american":
             raise ConfigError("--engine analytic: no closed form for American "
                               "exercise; use --engine pde")
-        mid = bs_price(kind, spot, strike, expiry, config.r, config.q, config.sigma)
-        if config.is_degenerate():
-            bid = ask = mid
-        else:
-            bid = long_position_price(kind, spot, strike, expiry, config)
-            if config.repo_haircut != 0.0 or config.sec_haircut != 0.0:
-                raise ConfigError(
-                    "--engine analytic: the ask has a closed form only with zero "
-                    "haircuts; use --engine pde")
-            _, ask = zero_haircut_quotes(kind, spot, strike, expiry, config)
+        mid, bid, ask = (closed_form(kind, side, spot, strike, expiry, config)
+                         for side in (Side.RISK_FREE, Side.BID, Side.ASK))
     else:
         grid = PdeGrid.for_portfolio(spot, book, config,
                                      n_nodes=kw["nodes"], dt=kw["dt"])
@@ -400,6 +397,9 @@ def fva_curve(ctx: click.Context, **kw) -> None:
                           FundingConfig.classic(r=r, sigma=vol, q=q), grid).value
     else:
         reference = bs_price(kind, spot, strike, expiry, r, q, vol).price
+    if not reference > 0:
+        raise ConfigError(f"risk-free price {reference} is not > 0; the adjustment "
+                          "is a percentage of it")
 
     rows = []
     for name, haircut, repo_spread in FVA_CURVE_CASES:
@@ -550,8 +550,7 @@ def simulate(ctx: click.Context, **kw) -> None:
     oracle = None
     if kw["oracle"] == "pde":
         from .replication import PdeOracle
-        oracle = PdeOracle(option, kw["spot"], kw["expiry"], side,
-                           config.degenerate() if side is Side.RISK_FREE else config,
+        oracle = PdeOracle(option, kw["spot"], kw["expiry"], side, config,
                            n_steps=kw["steps"], n_nodes=kw["nodes"])
     summary = simulate_hedge(option, kw["spot"], kw["expiry"], side, config,
                              n_paths=kw["paths"], n_steps=kw["steps"],
@@ -562,6 +561,27 @@ def simulate(ctx: click.Context, **kw) -> None:
 # ---------------------------------------------------------------------------
 # spread-demo
 # ---------------------------------------------------------------------------
+
+CHAIN_COLUMNS = ("strike", "mid_call", "mid_put", "call_spread", "put_spread")
+
+
+def _load_chain(path: str | None) -> tuple[float, float, float, list[dict]]:
+    """(spot, expiry, rate, quotes) of an option-chain file, or of the packaged sample."""
+    try:
+        text = (Path(path).read_text(encoding="utf-8") if path else
+                resources.files("fva_pricer.data").joinpath("sample_chain.json").read_text())
+        chain = json.loads(text)
+        spot, expiry, r = (float(chain[k]) for k in ("spot", "expiry_years", "rate"))
+        quotes = [{k: float(row[k]) for k in CHAIN_COLUMNS} for row in chain["quotes"]]
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed option chain: {type(exc).__name__}: {exc}",
+                          field="fixture") from exc
+    if not (quotes and all(map(math.isfinite, (spot, expiry, r)))
+            and spot > 0 and expiry > 0):
+        raise ConfigError("the option chain needs quotes, a finite spot and expiry "
+                          "> 0, and a finite rate", field="fixture")
+    return spot, expiry, r, quotes
+
 
 @main.command("spread-demo")
 @click.option("--fixture", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -582,23 +602,12 @@ def spread_demo(ctx: click.Context, **kw) -> None:
     records its own market-data assumptions.
     """
     kw = _apply_config_file(ctx, kw)
-    if kw["fixture"]:
-        with open(kw["fixture"], "r", encoding="utf-8") as fh:
-            chain = json.load(fh)
-    else:
-        chain = json.loads(resources.files("fva_pricer.data")
-                           .joinpath("sample_chain.json").read_text())
-    spot = float(chain["spot"])
-    expiry = float(chain["expiry_years"])
-    r = float(chain["rate"])
-    quotes = chain["quotes"]
-
-    atm = min(quotes, key=lambda row: abs(float(row["strike"]) - spot))
-    k_atm = float(atm["strike"])
-    parity = float(atm["mid_call"]) - float(atm["mid_put"]) \
-        + k_atm * math.exp(-r * expiry)
+    spot, expiry, r, quotes = _load_chain(kw["fixture"])
+    atm = min(quotes, key=lambda row: abs(row["strike"] - spot))
+    k_atm = atm["strike"]
+    parity = atm["mid_call"] - atm["mid_put"] + k_atm * math.exp(-r * expiry)
     if parity <= 0:
-        raise ConfigError("fixture violates put-call parity bounds")
+        raise ConfigError("fixture violates put-call parity bounds", field="fixture")
     q = -math.log(parity / spot) / expiry
 
     config_base = dict(r=r, r_b=r + kw["borrow_spread"], q=q,
@@ -608,11 +617,10 @@ def spread_demo(ctx: click.Context, **kw) -> None:
                        sec_haircut=kw["haircut"])
     rows = []
     for row in quotes:
-        strike = float(row["strike"])
+        strike = row["strike"]
         vols = []
         for kind, mid_key in (("call", "mid_call"), ("put", "mid_put")):
-            vols.append(implied_vol(kind, spot, strike, expiry, r, q,
-                                    float(row[mid_key])))
+            vols.append(implied_vol(kind, spot, strike, expiry, r, q, row[mid_key]))
         sigma = 0.5 * (vols[0] + vols[1])
         config = FundingConfig(sigma=sigma, **config_base)
         model = {}
@@ -622,9 +630,8 @@ def spread_demo(ctx: click.Context, **kw) -> None:
                                          n_nodes=kw["nodes"], dt=kw["dt"])
             bid, ask = quote(portfolio, config, grid)
             model[kind] = ask.price - bid.price
-        rows.append([strike, float(row["call_spread"]), model["call"],
-                     float(row["put_spread"]), model["put"],
-                     float(sigma)])
+        rows.append([strike, row["call_spread"], model["call"], row["put_spread"],
+                     model["put"], float(sigma)])
     header = ["strike", "market_call_spread", "model_call_spread",
               "market_put_spread", "model_put_spread", "implied_vol"]
     if kw["fmt"] == "json":

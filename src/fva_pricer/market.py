@@ -159,7 +159,7 @@ class OptionLeg:
         if self.style not in ("european", "american"):
             raise ConfigError(f"style must be 'european' or 'american', got {self.style!r}")
         if not (math.isfinite(self.strike) and self.strike > 0.0):
-            raise ConfigError(f"strike={self.strike} must be finite and > 0")
+            raise ConfigError(f"strike={self.strike} must be finite and > 0", field="strike")
         if not (math.isfinite(self.quantity) and self.quantity != 0.0):
             raise ConfigError(f"quantity={self.quantity} must be finite and nonzero")
 
@@ -231,8 +231,11 @@ def portfolio_from_dict(payload: dict) -> Portfolio:
             OptionLeg(kind=item["kind"], strike=float(item["strike"]),
                       quantity=float(item.get("qty", 1.0)), style=style)
             for item in payload["legs"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed portfolio payload: {exc}") from exc
+    except ConfigError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed portfolio payload: {type(exc).__name__}: {exc}"
+                          ) from exc
     return Portfolio(legs=legs, expiry=expiry)
 
 
@@ -246,5 +249,9 @@ def portfolio_to_dict(portfolio: Portfolio) -> dict:
 
 
 def load_portfolio(path: str) -> Portfolio:
-    with open(path, "r", encoding="utf-8") as fh:
-        return portfolio_from_dict(json.load(fh))
+    """Portfolio from a JSON file; any fault in the file is a ConfigError on "portfolio"."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return portfolio_from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"{path}: {exc}", field="portfolio") from exc

@@ -24,8 +24,8 @@ from typing import Protocol
 import numpy as np
 
 from . import analytic
-from .errors import ConfigError, OracleUnavailable
-from .funding import financing_arrays, select_financing
+from .errors import ConfigError, HaircutNotZero, OracleUnavailable
+from .funding import financing_arrays
 from .market import FundingConfig, OptionLeg, Portfolio, Side
 from .pde import PdeGrid, SolverParams, solve_surface
 
@@ -41,7 +41,7 @@ def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int =
 
 
 class PricingOracle(Protocol):
-    """Signed position value and slope for any spot array and residual life."""
+    """Signed position value and slope for any spot array and residual life > 0."""
 
     def value_and_slope(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         ...
@@ -90,60 +90,26 @@ class HedgeSummary:
 class AnalyticOracle:
     """Closed-form position value for the cases that admit one.
 
-    Degenerate configurations price at classic Black-Scholes on either
-    side.  A long position (bid) always has the shifted-rate lognormal
-    form; a short position does too when both haircuts vanish.
+    `analytic.lognormal_rates` decides which sides have one: the bid always,
+    the ask under zero haircuts, and either side of a degenerate config.
     """
 
     def __init__(self, option: OptionLeg, side: Side, config: FundingConfig):
-        kind = option.kind
+        try:
+            self.growth, self.disc = analytic.lognormal_rates(option.kind, side, config)
+        except HaircutNotZero as exc:
+            raise OracleUnavailable(str(exc)) from None
+        self.kind = option.kind
         self.strike = option.strike
-        self.kind = kind
         self.sign = side.position_sign
-        if side is Side.RISK_FREE or config.is_degenerate():
-            config = config.degenerate()
-            growth, disc = config.r - config.q, config.r
-        elif side is Side.BID:
-            hedge_sign = -1 if kind == "call" else 1
-            sel = select_financing(hedge_sign, config)
-            growth = (sel.h_signed * config.r_b
-                      + (1.0 - sel.h_signed) * sel.r_p_effective - config.q)
-            disc = config.r_b
-        elif config.repo_haircut == 0.0 and config.sec_haircut == 0.0 \
-                and not config.no_repo:
-            r1, r2 = config.repo_rate, config.rebate_rate
-            growth = (r1 if kind == "call" else r2) - config.q
-            disc = config.r
-        else:
-            raise OracleUnavailable(
-                "no closed form for a short position with nonzero haircuts; "
-                "use the PDE oracle")
-        self.growth = growth
-        self.disc = disc
         self.sigma = config.sigma
 
     def value_and_slope(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
-        if tau <= 0.0:
-            if self.kind == "call":
-                intrinsic = np.maximum(s - self.strike, 0.0)
-                edge = np.where(s > self.strike, 1.0, 0.0)
-            else:
-                intrinsic = np.maximum(self.strike - s, 0.0)
-                edge = np.where(s < self.strike, -1.0, 0.0)
-            return self.sign * intrinsic, self.sign * edge
-        sq = self.sigma * math.sqrt(tau)
-        fwd = s * math.exp(self.growth * tau)
-        d1 = (np.log(fwd / self.strike) + 0.5 * self.sigma ** 2 * tau) / sq
-        d2 = d1 - sq
-        df = math.exp(-self.disc * tau)
-        fs = math.exp(self.growth * tau)
-        if self.kind == "call":
-            value = df * (fwd * analytic.norm_cdf(d1) - self.strike * analytic.norm_cdf(d2))
-            slope = df * fs * analytic.norm_cdf(d1)
-        else:
-            value = df * (self.strike * analytic.norm_cdf(-d2) - fwd * analytic.norm_cdf(-d1))
-            slope = -df * fs * analytic.norm_cdf(-d1)
+        if not tau > 0.0:
+            raise OracleUnavailable(f"residual life {tau} must be > 0")
+        value, slope, _ = analytic.lognormal(self.kind, np.asarray(s, dtype=float),
+                                             self.strike, tau, self.growth, self.disc,
+                                             self.sigma)
         return self.sign * value, self.sign * slope
 
 
@@ -196,6 +162,7 @@ def make_oracle(option: OptionLeg, spot: float, expiry: float, side: Side,
         return PdeOracle(option, spot, expiry, side, config, n_steps, n_nodes=pde_nodes)
 
 
+@np.errstate(all="ignore")  # a non-finite wealth is reported once, at the end
 def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
                    config: FundingConfig, n_paths: int, n_steps: int,
                    mu: float, seed: int, oracle: PricingOracle | None = None,
@@ -215,10 +182,15 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     identical paths on every run.
 
     Raises:
-        ConfigError: a non-finite or non-positive spot or expiry, or
-            n_steps or n_paths below 1
+        ConfigError: a non-finite or non-positive spot or expiry, n_steps or
+            n_paths below 1, a non-finite mu, a negative seed, or inputs
+            that take the accrual or the terminal wealth out of range
     """
     _check_hedge_inputs(spot, expiry, n_steps, n_paths)
+    if not math.isfinite(mu):
+        raise ConfigError(f"mu={mu} must be finite", field="mu")
+    if seed < 0:
+        raise ConfigError(f"seed={seed} must be >= 0", field="seed")
     if side is Side.RISK_FREE:
         config = config.degenerate()
     if oracle is None:
@@ -227,12 +199,17 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     dt = expiry / n_steps
     rng = np.random.Generator(np.random.Philox(seed))
     z = rng.standard_normal((n_steps, n_paths))
-    drift = (mu - 0.5 * config.sigma ** 2) * dt
     volstep = config.sigma * math.sqrt(dt)
-    # exact per-interval accrual factors; simple r*dt accrual would leave an
-    # O(dt) wealth drift even under a perfect hedge
-    g_r = math.expm1(r * dt)
-    g_rb = math.expm1(r_b * dt)
+    try:
+        drift = (mu - 0.5 * config.sigma ** 2) * dt
+        # exact per-interval accrual factors; simple r*dt accrual would leave
+        # an O(dt) wealth drift even under a perfect hedge
+        g_r = math.expm1(r * dt)
+        g_rb = math.expm1(r_b * dt)
+        df = math.exp(-r * expiry)
+    except OverflowError:
+        raise ConfigError(f"hedge accrual out of range: r={r}, r_b={r_b}, "
+                          f"sigma={config.sigma} over {expiry} years") from None
 
     s = np.full(n_paths, float(spot))
     value, slope = oracle.value_and_slope(s, expiry)
@@ -287,9 +264,9 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
         ledger_gap = max(ledger_gap, float(np.max(np.abs(pi - pi_acc))))
         snap((k + 1) * dt)
 
-    disc_pi = math.exp(-r * expiry) * pi
+    disc_pi = df * pi
     std = float(np.std(disc_pi, ddof=1)) if n_paths > 1 else 0.0
-    return HedgeSummary(
+    summary = HedgeSummary(
         mean=float(np.mean(disc_pi)),
         std=std,
         max_abs=float(np.max(np.abs(disc_pi))),
@@ -300,3 +277,7 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
         mean_abs=float(np.mean(np.abs(disc_pi))),
         ledger_gap=ledger_gap,
         trace=tuple(states))
+    if not all(math.isfinite(x) for x in (summary.mean, summary.std, summary.max_abs)):
+        raise ConfigError(f"terminal wealth out of range: mean={summary.mean}, "
+                          f"std={summary.std}, max_abs={summary.max_abs}")
+    return summary

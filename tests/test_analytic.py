@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,8 @@ from fva_pricer import (
     long_position_price,
     zero_haircut_spread,
 )
+from fva_pricer.analytic import bs_vega, lognormal_rates, zero_haircut_quotes
+from fva_pricer.market import Side
 from conftest import make_config
 from oracles import ref_bs_price, ref_long_position_price
 
@@ -198,6 +201,56 @@ class TestZeroHaircutSpread:
         cfg = dataclasses.replace(make_config(spread=0.02), no_repo=True)
         with pytest.raises(HaircutNotZero):
             zero_haircut_spread("call", 100, 100, 2.0, cfg)
+
+
+class TestOneClosedForm:
+    """Every side's closed form comes from lognormal_rates and one kernel."""
+
+    def test_side_rates(self):
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
+                          rebate_spread=-0.004, sec_haircut=0.15, q=0.01)
+        assert lognormal_rates("put", Side.RISK_FREE, cfg) == (cfg.r - cfg.q, cfg.r)
+        # a long put hedges with long stock, financed by repo at haircut 0.25
+        growth, discount = lognormal_rates("put", Side.BID, cfg)
+        assert growth == pytest.approx(0.25 * cfg.r_b + 0.75 * cfg.repo_rate - cfg.q)
+        assert discount == cfg.r_b
+        with pytest.raises(HaircutNotZero):
+            lognormal_rates("put", Side.ASK, cfg)
+        flat = make_config(spread=0.03, repo_spread=0.005, rebate_spread=-0.004, q=0.01)
+        assert lognormal_rates("call", Side.ASK, flat) == (flat.repo_rate - flat.q, flat.r)
+        assert lognormal_rates("put", Side.ASK, flat) == (flat.rebate_rate - flat.q, flat.r)
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_degenerate_long_position_is_bs_price_bit_for_bit(self, kind):
+        cfg = make_config(repo_haircut=0.35, sec_haircut=0.15, q=0.02)
+        assert long_position_price(kind, 100, 95, 1.5, cfg) == \
+            bs_price(kind, 100, 95, 1.5, cfg.r, cfg.q, cfg.sigma)
+
+    @pytest.mark.parametrize("cfg", [
+        make_config(repo_haircut=0.25, sec_haircut=0.15),
+        dataclasses.replace(make_config(), no_repo=True),
+    ])
+    def test_degenerate_zero_haircut_quotes_are_classic(self, cfg):
+        # haircuts and no_repo are immaterial once every rate equals r
+        classic = bs_price("call", 100, 100, 2.0, cfg.r, cfg.q, cfg.sigma)
+        assert zero_haircut_quotes("call", 100, 100, 2.0, cfg) == (classic, classic)
+        assert zero_haircut_spread("call", 100, 100, 2.0, cfg).spread == 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(expiry=1e300), dict(q=1e300), dict(rate=1e300), dict(rate=-1e300),
+        dict(sigma=1e300)])
+    def test_out_of_range_inputs_raise_config_error(self, kwargs):
+        args = dict(spot=100.0, strike=100.0, expiry=2.0, rate=0.1, q=0.0, sigma=0.5)
+        args.update(kwargs)
+        with pytest.raises(ConfigError):
+            bs_price("call", args["spot"], args["strike"], args["expiry"], args["rate"],
+                     args["q"], args["sigma"])
+
+    def test_vega_matches_a_finite_difference(self):
+        up = bs_price("put", 100, 110, 1.5, 0.05, 0.01, 0.3 + 1e-6).price
+        dn = bs_price("put", 100, 110, 1.5, 0.05, 0.01, 0.3 - 1e-6).price
+        assert bs_vega("put", 100, 110, 1.5, 0.05, 0.01, 0.3) == \
+            pytest.approx((up - dn) / 2e-6, rel=1e-7)
 
 
 class TestImpliedVol:

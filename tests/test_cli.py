@@ -63,6 +63,7 @@ class TestPriceCommand:
                                       "--repo-haircut", "0.25",
                                       "--engine", "analytic"])
         assert result.exit_code == 2
+        assert "the ask has a closed form only with both haircuts 0" in result.output
 
     def test_csv_header_line(self, runner):
         out = run_ok(runner, ["price", "--kind", "put", "--side", "riskfree",

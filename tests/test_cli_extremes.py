@@ -1,0 +1,74 @@
+"""Extreme numeric flags on the closed-form commands.
+
+Every run must end with a documented exit code, never with a traceback, and
+a run that succeeds prints only finite numbers.
+"""
+
+import json
+import math
+
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from fva_pricer.cli import main
+
+EXTREMES = ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf")
+
+MARKET = {"--spot": "100", "--strike": "95", "--expiry": "1.5", "--rate": "0.05",
+          "--vol": "0.3", "--dividend-yield": "0.01", "--nodes": "200", "--dt": "0.05"}
+FUNDING = {"--borrow-rate": "0.08", "--borrow-spread": "0.03", "--repo-rate": "0.055",
+           "--repo-spread": "0.005", "--rebate-rate": "0.045",
+           "--rebate-spread": "-0.005", "--repo-haircut": "0.2", "--sec-haircut": "0.1"}
+# typical value of each numeric flag, per command
+PRICE = {**MARKET, **FUNDING, "--repo-haircut": "0", "--sec-haircut": "0"}
+FVA_CURVE = {**MARKET, "--spread-max": "0.02", "--spread-step": "0.01"}
+SIMULATE = {**MARKET, **FUNDING, "--mu": "0.05", "--seed": "3"}
+
+
+def flag_values(typical: dict[str, str]):
+    """One to three flags, each at its typical value or at an extreme."""
+    return st.dictionaries(st.sampled_from(sorted(typical)),
+                           st.sampled_from(("typical", *EXTREMES)),
+                           min_size=1, max_size=3).map(
+        lambda drawn: [tok for flag, value in drawn.items()
+                       for tok in (flag, typical[flag] if value == "typical" else value)])
+
+
+def numbers(payload):
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, list):
+        return [x for item in payload for x in numbers(item)]
+    return [payload] if isinstance(payload, (int, float)) else []
+
+
+def check(args: list[str]) -> None:
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (args, result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        values = numbers(json.loads(result.stdout))
+        assert values and all(math.isfinite(x) for x in values), (args, result.stdout)
+
+
+@given(kind=st.sampled_from(["call", "put"]), extra=flag_values(PRICE))
+@settings(max_examples=150, deadline=None)
+def test_analytic_price(kind, extra):
+    check(["price", "--kind", kind, "--engine", "analytic", "--format", "json", *extra])
+
+
+@given(kind=st.sampled_from(["call", "put"]), extra=flag_values(FVA_CURVE))
+@settings(max_examples=150, deadline=None)
+def test_analytic_fva_curve(kind, extra):
+    check(["fva-curve", "--kind", kind, "--format", "json", *extra])
+
+
+@given(kind=st.sampled_from(["call", "put"]), side=st.sampled_from(["bid", "riskfree"]),
+       extra=flag_values(SIMULATE))
+@settings(max_examples=150, deadline=None)
+def test_simulate_on_the_analytic_oracle(kind, side, extra):
+    seed = [] if "--seed" in extra else ["--seed", "3"]
+    check(["simulate", "--kind", kind, "--side", side, "--paths", "16", "--steps", "4",
+           *seed, *extra])

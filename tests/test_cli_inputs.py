@@ -22,6 +22,7 @@ def invoke(args):
     (["--dt", "0"], "--dt"),
     (["--dt", "nan"], "--dt"),
     (["--spot", "inf"], "--spot"),
+    (["--strike", "nan"], "--strike"),
 ])
 def test_nonfinite_price_inputs_exit_2_naming_the_flag(args, flag):
     result = invoke(["price", "--kind", "put", "--nodes", "200", *args])
@@ -76,6 +77,90 @@ def test_bad_portfolio_file_names_portfolio(tmp_path, payload):
     result = invoke(["price", "--portfolio", str(book)])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: --portfolio: ConfigError, ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"expiry": 2.0, "legs": [',
+    '{"expiry": "abc", "legs": [{"kind": "put", "strike": 100.0}]}',
+    '{"expiry": 1.0, "legs": [{"kind": "put", "strike": "x"}]}',
+    '[1, 2]',
+])
+def test_unparsable_portfolio_file_names_portfolio(tmp_path, text):
+    book = tmp_path / "book.json"
+    book.write_text(text)
+    result = invoke(["price", "--portfolio", str(book)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: --portfolio: ConfigError, ")
+
+
+@pytest.mark.parametrize("text", [
+    '{"spot": 165.0, "expiry_years": 1.46',
+    '{"spot": 165.0, "rate": 0.005, "quotes": []}',
+    '[165.0, 1.46, 0.005]',
+    '{"spot": 165.0, "expiry_years": 1.46, "rate": 0.005, '
+    '"quotes": [{"strike": 165, "mid_call": 17.6}]}',
+    '{"spot": 165.0, "expiry_years": 1.46, "rate": 0.005, "quotes": []}',
+    '{"spot": 0, "expiry_years": 1.46, "rate": 0.005, "quotes": [{"strike": 165, '
+    '"mid_call": 17.6, "mid_put": 20.5, "call_spread": 1.7, "put_spread": 3.6}]}',
+])
+def test_bad_fixture_file_names_fixture(tmp_path, text):
+    chain = tmp_path / "chain.json"
+    chain.write_text(text)
+    result = invoke(["spread-demo", "--fixture", str(chain)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: --fixture: ConfigError, ")
+
+
+@pytest.mark.parametrize("content", [b"rate=0.1\n\xff\xfe\n", b"rate 0.1\n"])
+def test_bad_config_file_names_config(tmp_path, content):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    result = invoke(["price", "--kind", "put", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: --config: ConfigError, ")
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["--mu", "nan"], "--mu"),
+    (["--mu", "inf"], "--mu"),
+    (["--seed", "-1"], "--seed"),
+])
+def test_bad_simulate_drift_or_seed_names_the_flag(args, flag):
+    result = invoke(["simulate", "--kind", "put", "--seed", "1", "--paths", "8",
+                     "--steps", "4", *args])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {flag}: ConfigError, ")
+
+
+@pytest.mark.parametrize("args", [
+    ["price", "--kind", "put", "--engine", "analytic", "--expiry", "1e300"],
+    ["price", "--kind", "put", "--engine", "analytic", "--dividend-yield", "1e300"],
+    ["fva-curve", "--kind", "call", "--rate", "1e300"],
+    ["fva-curve", "--rate", "-1e300"],
+    ["fva-curve", "--dividend-yield", "1e300"],
+    ["fva-curve", "--vol", "1e-9"],
+    ["simulate", "--kind", "put", "--seed", "1", "--paths", "8", "--steps", "4",
+     "--rate", "1e300"],
+    ["simulate", "--kind", "put", "--seed", "1", "--paths", "8", "--steps", "4",
+     "--mu", "1e300"],
+    ["simulate", "--kind", "call", "--seed", "1", "--paths", "8", "--steps", "4",
+     "--vol", "1e300"],
+])
+def test_out_of_range_finite_inputs_exit_2(args):
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+
+
+def test_analytic_engine_names_a_bad_spot():
+    result = invoke(["price", "--kind", "put", "--engine", "analytic", "--spot", "inf"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: --spot: ConfigError, spot=inf")
 
 
 def test_flags_named_only_where_the_command_has_them():

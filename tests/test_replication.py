@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from fva_pricer import (
     make_oracle,
     simulate_hedge,
 )
+from fva_pricer.analytic import closed_form
+from fva_pricer.errors import HaircutNotZero
 from fva_pricer.replication import AnalyticOracle
 from conftest import EXPIRY, RATE, SPOT, STRIKE, make_config
 
@@ -143,9 +147,47 @@ class TestFundedReplication:
             assert v_pde == pytest.approx(v_ana, abs=5e-3)
             assert d_pde == pytest.approx(d_ana, abs=5e-3)
 
+    def test_expiry_rejected_by_analytic_oracle(self, classic_config):
+        # the simulator values the last step at the payoff itself
+        oracle = AnalyticOracle(PUT, Side.BID, classic_config)
+        with pytest.raises(OracleUnavailable):
+            oracle.value_and_slope(np.array([100.0]), 0.0)
+
     def test_misaligned_time_rejected_by_pde_oracle(self):
         cfg = make_config(**FUNDED)
         oracle = PdeOracle(PUT, SPOT, EXPIRY, Side.BID, cfg, n_steps=10,
                            n_nodes=300)
         with pytest.raises(OracleUnavailable):
             oracle.value_and_slope(np.array([100.0]), 0.137)
+
+
+CONFIG_FAMILIES = {
+    "classic": make_config(),
+    "degenerate_with_haircuts": make_config(repo_haircut=0.25, sec_haircut=0.15),
+    "zero_haircut": make_config(spread=0.03, repo_spread=0.005, q=0.02),
+    "haircuts": make_config(**FUNDED),
+    "no_repo": dataclasses.replace(make_config(spread=0.03), no_repo=True),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONFIG_FAMILIES))
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_analytic_oracle_is_the_closed_form(kind, side, family):
+    """At scalar spots the oracle's value and slope are the side's signed price and delta."""
+    cfg = CONFIG_FAMILIES[family]
+    option = OptionLeg(kind, STRIKE)
+    try:
+        closed_form(kind, side, SPOT, STRIKE, EXPIRY, cfg)
+    except HaircutNotZero:
+        with pytest.raises(OracleUnavailable):
+            AnalyticOracle(option, side, cfg)
+        return
+    oracle = AnalyticOracle(option, side, cfg)
+    for spot in (60.0, 100.0, 140.0):
+        for tau in (EXPIRY, 0.25):
+            quote = closed_form(kind, side, spot, STRIKE, tau, cfg)
+            value, slope = oracle.value_and_slope(spot, tau)
+            sign = side.position_sign
+            assert float(value) == pytest.approx(sign * quote.price, rel=1e-12)
+            assert float(slope) == pytest.approx(sign * quote.delta, rel=1e-12)
