@@ -26,8 +26,10 @@ from .errors import (
 from .funding import FinancingSelection, FundingAccounts, funding_accounts, funding_term, \
     fva, select_financing
 from .market import FundingConfig, OptionLeg, Portfolio, Side, terminal_payoff, validate
-from .pde import PdeGrid, PricingResult, SolverParams, solve, solve_american, solve_surface
-from .portfolio import NettingReport, build_strategy, netting_report, quote
+from .pde import PdeGrid, PricingResult, SolverParams, solve, solve_american, solve_many, \
+    solve_surface
+from .portfolio import NettingReport, build_strategy, netting_report, netting_reports, \
+    quote, quote_many
 from .replication import AnalyticOracle, HedgeSummary, LedgerState, PdeOracle, \
     make_oracle, simulate_hedge
 
@@ -70,11 +72,14 @@ __all__ = [
     "long_position_price",
     "make_oracle",
     "netting_report",
+    "netting_reports",
     "quote",
+    "quote_many",
     "select_financing",
     "simulate_hedge",
     "solve",
     "solve_american",
+    "solve_many",
     "solve_surface",
     "terminal_payoff",
     "validate",

@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -32,8 +33,8 @@ import click
 from .analytic import bs_price, closed_form, implied_vol, long_position_price
 from .errors import ConfigError, NoConvergence, PricingError
 from .market import FundingConfig, OptionLeg, Portfolio, Side, load_portfolio
-from .pde import PdeGrid, solve
-from .portfolio import STRATEGIES, build_strategy, netting_report, quote
+from .pde import PdeGrid, solve, solve_many
+from .portfolio import STRATEGIES, build_strategy, netting_reports, quote_many
 from .replication import simulate_hedge
 
 CSV_VERSION = "fva-pricer v1"
@@ -325,11 +326,12 @@ def price(ctx: click.Context, **kw) -> None:
     else:
         grid = PdeGrid.for_portfolio(spot, book, config,
                                      n_nodes=kw["nodes"], dt=kw["dt"])
-        bid, ask = quote(book, config, grid)
-        if config.is_degenerate():
-            mid = bid
-        else:
-            mid, _ = quote(book, config.degenerate(), grid)
+        books = [(book, config, grid)]
+        if not config.is_degenerate():
+            books.append((book, config.degenerate(), grid))
+        quotes = quote_many(books)
+        bid, ask = quotes[0]
+        mid = quotes[-1][0]
 
     # --side all reports the risk-free greeks
     greeks = {"bid": bid, "ask": ask}.get(kw["side"], mid)
@@ -388,32 +390,39 @@ def fva_curve(ctx: click.Context, **kw) -> None:
     n = int(round(top / step))
     spreads = [i * step for i in range(n + 1)]
 
-    use_pde = kw["engine"] == "pde"
-    if use_pde:
+    def positive(reference: float) -> float:
+        if not reference > 0:
+            raise ConfigError(f"risk-free price {reference} is not > 0; the adjustment "
+                              "is a percentage of it")
+        return reference
+
+    cases = [(name, spread) for name, _, _ in FVA_CURVE_CASES for spread in spreads]
+    configs = (FundingConfig(
+        r=r, r_b=r + spread, q=q, sigma=vol,
+        repo_rate=r + (repo_spread or 0.0), repo_haircut=haircut or 0.0,
+        rebate_rate=r - (repo_spread or 0.0), sec_haircut=haircut or 0.0,
+        no_repo=haircut is None)
+        for _, haircut, repo_spread in FVA_CURVE_CASES for spread in spreads)
+    if kw["engine"] == "pde":
         book = Portfolio.single(kind, strike, expiry)
         grid = PdeGrid.build(spot, strike, vol, expiry, n_nodes=kw["nodes"], dt=kw["dt"])
         # same-grid reference so discretization bias cancels in the adjustment
-        reference = solve(book, Side.RISK_FREE,
-                          FundingConfig.classic(r=r, sigma=vol, q=q), grid).value
+        reference_job = (book, Side.RISK_FREE, FundingConfig.classic(r=r, sigma=vol, q=q), grid)
+        try:
+            solved = solve_many(itertools.chain(
+                [reference_job], ((book, Side.BID, config, grid) for config in configs)))
+        except Exception:
+            # the reference is checked before any bid's error, as when solved first
+            positive(solve(*reference_job).value)
+            raise
+        reference = positive(solved[0].value)
+        bids = [res.value for res in solved[1:]]
     else:
-        reference = bs_price(kind, spot, strike, expiry, r, q, vol).price
-    if not reference > 0:
-        raise ConfigError(f"risk-free price {reference} is not > 0; the adjustment "
-                          "is a percentage of it")
-
-    rows = []
-    for name, haircut, repo_spread in FVA_CURVE_CASES:
-        for spread in spreads:
-            config = FundingConfig(
-                r=r, r_b=r + spread, q=q, sigma=vol,
-                repo_rate=r + (repo_spread or 0.0), repo_haircut=haircut or 0.0,
-                rebate_rate=r - (repo_spread or 0.0), sec_haircut=haircut or 0.0,
-                no_repo=haircut is None)
-            if use_pde:
-                bid = solve(book, Side.BID, config, grid).value
-            else:
-                bid = long_position_price(kind, spot, strike, expiry, config).price
-            rows.append([name, float(spread), float(100.0 * (reference - bid) / reference)])
+        reference = positive(bs_price(kind, spot, strike, expiry, r, q, vol).price)
+        bids = [long_position_price(kind, spot, strike, expiry, config).price
+                for config in configs]
+    rows = [[name, float(spread), float(100.0 * (reference - bid) / reference)]
+            for (name, spread), bid in zip(cases, bids)]
     if kw["fmt"] == "json":
         payload = [{"case": c, "spread": s, "fva_percent": v} for c, s, v in rows]
         _emit(_json_text(payload), kw["output"])
@@ -449,12 +458,13 @@ def netting(ctx: click.Context, **kw) -> None:
     if not expiries:
         raise ConfigError("--expiries: need at least one expiry")
 
-    reports = []
-    for expiry in expiries:
-        portfolio = build_strategy(kw["strategy"], strikes, expiry)
-        grid = PdeGrid.for_portfolio(kw["spot"], portfolio, config,
-                                     n_nodes=kw["nodes"], dt=kw["dt"])
-        reports.append(netting_report(portfolio, config, grid))
+    def books():
+        for expiry in expiries:
+            portfolio = build_strategy(kw["strategy"], strikes, expiry)
+            yield portfolio, PdeGrid.for_portfolio(kw["spot"], portfolio, config,
+                                                   n_nodes=kw["nodes"], dt=kw["dt"])
+
+    reports = netting_reports(books(), config)
     if kw["fmt"] == "json":
         payload = [{"strategy": kw["strategy"], "expiry": t, **rep.to_dict()}
                    for t, rep in zip(expiries, reports)]
@@ -490,13 +500,13 @@ def table1(ctx: click.Context, **kw) -> None:
     config = FundingConfig.classic(r=kw["rate"], sigma=kw["vol"],
                                    q=kw["dividend_yield"])
     spot, strike, expiry = kw["spot"], kw["strike"], kw["expiry"]
+    kinds = ("call", "put")
+    books = [Portfolio.single(kind, strike, expiry) for kind in kinds]
+    fds = solve_many((portfolio, Side.RISK_FREE, config, PdeGrid.for_portfolio(
+        spot, portfolio, config, n_nodes=kw["nodes"], dt=kw["dt"])) for portfolio in books)
     rows = []
     ok = True
-    for kind in ("call", "put"):
-        portfolio = Portfolio.single(kind, strike, expiry)
-        grid = PdeGrid.for_portfolio(spot, portfolio, config,
-                                     n_nodes=kw["nodes"], dt=kw["dt"])
-        fd = solve(portfolio, Side.RISK_FREE, config, grid)
+    for kind, fd in zip(kinds, fds):
         exact = bs_price(kind, spot, strike, expiry, config.r, config.q, config.sigma)
         for metric, a, b in (("price", exact.price, fd.price),
                              ("delta", exact.delta, fd.delta),
@@ -615,23 +625,25 @@ def spread_demo(ctx: click.Context, **kw) -> None:
                        repo_haircut=kw["haircut"],
                        rebate_rate=r - kw["repo_spread"],
                        sec_haircut=kw["haircut"])
-    rows = []
-    for row in quotes:
-        strike = row["strike"]
-        vols = []
-        for kind, mid_key in (("call", "mid_call"), ("put", "mid_put")):
-            vols.append(implied_vol(kind, spot, strike, expiry, r, q, row[mid_key]))
-        sigma = 0.5 * (vols[0] + vols[1])
-        config = FundingConfig(sigma=sigma, **config_base)
-        model = {}
-        for kind in ("call", "put"):
-            portfolio = Portfolio.single(kind, strike, expiry)
-            grid = PdeGrid.for_portfolio(spot, portfolio, config,
-                                         n_nodes=kw["nodes"], dt=kw["dt"])
-            bid, ask = quote(portfolio, config, grid)
-            model[kind] = ask.price - bid.price
-        rows.append([strike, row["call_spread"], model["call"], row["put_spread"],
-                     model["put"], float(sigma)])
+    sigmas = []
+
+    def books():
+        for row in quotes:
+            strike = row["strike"]
+            vols = []
+            for kind, mid_key in (("call", "mid_call"), ("put", "mid_put")):
+                vols.append(implied_vol(kind, spot, strike, expiry, r, q, row[mid_key]))
+            sigma = 0.5 * (vols[0] + vols[1])
+            sigmas.append(sigma)
+            config = FundingConfig(sigma=sigma, **config_base)
+            for kind in ("call", "put"):
+                portfolio = Portfolio.single(kind, strike, expiry)
+                yield portfolio, config, PdeGrid.for_portfolio(
+                    spot, portfolio, config, n_nodes=kw["nodes"], dt=kw["dt"])
+
+    spreads = iter(ask.price - bid.price for bid, ask in quote_many(books()))
+    rows = [[row["strike"], row["call_spread"], next(spreads), row["put_spread"],
+             next(spreads), float(sigma)] for row, sigma in zip(quotes, sigmas)]
     header = ["strike", "market_call_spread", "model_call_spread",
               "market_put_spread", "model_put_spread", "implied_vol"]
     if kw["fmt"] == "json":

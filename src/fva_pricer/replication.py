@@ -27,7 +27,7 @@ from . import analytic
 from .errors import ConfigError, HaircutNotZero, OracleUnavailable
 from .funding import financing_arrays
 from .market import FundingConfig, OptionLeg, Portfolio, Side
-from .pde import PdeGrid, SolverParams, solve_surface
+from .pde import MAX_TIME_STEPS, PdeGrid, SolverParams, solve_surface
 
 
 def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int = 1) -> None:
@@ -127,6 +127,9 @@ class PdeOracle:
         if option.style != "european":
             raise OracleUnavailable("hedge simulation covers European options only")
         _check_hedge_inputs(spot, expiry, n_steps)
+        if n_steps > MAX_TIME_STEPS:
+            raise ConfigError(f"steps={n_steps} exceeds the {MAX_TIME_STEPS} time steps "
+                              "a PDE surface may take", field="steps")
         portfolio = Portfolio(legs=(option,), expiry=expiry)
         grid = PdeGrid.build(spot, option.strike, config.sigma, expiry,
                              n_nodes=n_nodes, dt=expiry / n_steps)

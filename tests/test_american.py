@@ -105,20 +105,21 @@ class TestAmericanErrors:
 def stepped_systems(side, config, grid):
     """Run a solve substep by substep, yielding each substep's system and result.
 
-    Yields (stepper, A, rhs, x): the implicit system built from the pattern
+    Yields (batch, A, rhs, x): the implicit system built from the pattern
     the substep ends on, the right-hand side built from the level it starts
     from, and the level it produced.
     """
-    st = pde._Stepper(american("put"), side, config, grid, SolverParams())
+    b = pde._Block([(0, (american("put"), side, config, grid))], SolverParams(),
+                   labelled=False)
+    whole, member = slice(0, b.K), slice(0, 1)
     for step in range(grid.n_steps):
-        st.step = step
-        for dts, theta in st.schedule(step):
-            rhs = pde._rhs_vector(st.u, st.tables.operator(st.pat.region), st.ds,
-                                  dts, theta)
-            pde._substep(st, dts, theta)
-            A = pde._implicit_system(st.tables.operator(st.pat.region), st.ds,
-                                     dts, theta)
-            yield st, A, rhs, st.u
+        b.step = step
+        for kind in (0, 0) if step < b.params.rannacher_steps else (1,):
+            idx, combo = b.indices(b.region, b.rows, member, 1)
+            rhs = b.rhs(b.u, idx, combo, whole, member, kind)
+            pde._substep(b, np.arange(1), kind)
+            idx, combo = b.indices(b.region, b.rows, member, 1)
+            yield b, b.system(idx, combo, kind), rhs, b.u
 
 
 class TestExerciseProblem:
@@ -130,7 +131,7 @@ class TestExerciseProblem:
         grid = PdeGrid.build(SPOT, STRIKE, VOL, EXPIRY, 200, 0.05)
         worst = (0.0, None, None)
         for st, A, rhs, x in stepped_systems(Side.RISK_FREE, classic_config, grid):
-            gap = np.abs(x - lcp_solve(*A, rhs, st.obstacle, st.sign))
+            gap = np.abs(x - lcp_solve(*A, rhs, st.obstacle, Side.RISK_FREE.position_sign))
             node = int(np.argmax(gap))
             worst = max(worst, (float(gap[node]), st.step, node), key=lambda w: w[0])
         assert worst[0] <= 1e-9, "gap {:.3g} at step {}, node {}".format(*worst)
@@ -142,5 +143,6 @@ class TestExerciseProblem:
             ax = di * x
             ax[1:] += lo[1:] * x[:-1]
             ax[:-1] += up[:-1] * x[1:]
-            gap = np.minimum(st.sign * (ax - rhs), st.sign * (x - st.obstacle))
+            gap = np.minimum(side.position_sign * (ax - rhs),
+                             side.position_sign * (x - st.obstacle))
             assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(rhs)), st.step

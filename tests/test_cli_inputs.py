@@ -1,6 +1,8 @@
 """CLI input handling: one validation path, one quote path."""
 
 import json
+import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -187,3 +189,54 @@ def test_single_option_prices_like_its_one_leg_book(tmp_path, style, side):
     as_book = invoke(["price", "--portfolio", str(book), *common])
     assert single.exit_code == as_book.exit_code == 0
     assert single.stdout_bytes == as_book.stdout_bytes
+
+
+@pytest.mark.parametrize("args", [
+    ["price", "--kind", "put", "--vol", "1e300"],
+    ["price", "--kind", "put", "--expiry", "1e300"],
+    ["netting", "--strategy", "bull", "--vol", "1e300"],
+    ["fva-curve", "--engine", "pde", "--expiry", "1e300"],
+    ["spread-demo", "--repo-spread", "1e300"],
+])
+def test_extreme_pde_inputs_exit_2_without_traceback(args):
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stderr.startswith("error: ")
+
+
+def test_singular_system_names_its_job_step_and_time():
+    result = invoke(["spread-demo", "--repo-spread", "1e300"])
+    assert re.fullmatch(r"error: job \d+ \((bid|ask): [^)]*\): the tridiagonal system is "
+                        r"singular at step \d+ \(t=\S+\)\n", result.stderr), result.stderr
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["price", "--kind", "put", "--dt", "1e-7"], "--dt"),
+    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde", "--steps", "100001"],
+     "--steps"),
+])
+def test_step_count_above_the_cap_exits_2_at_once(args, flag):
+    start = time.perf_counter()
+    result = invoke(args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {flag}: ConfigError, ")
+
+
+FVA_ZERO_REFERENCE = ["fva-curve", "--engine", "pde", "--kind", "put", "--nodes", "200",
+                      "--dt", "0.05", "--spread-max", "1e300", "--spread-step", "1e299"]
+
+
+def test_fva_curve_bids_fail_on_an_absurd_spread():
+    result = invoke([*FVA_ZERO_REFERENCE, "--strike", "100"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: job 2 (bid: +1 put 100; european, expiry 2): ")
+
+
+def test_fva_curve_reference_is_checked_before_any_bid_error():
+    result = invoke([*FVA_ZERO_REFERENCE, "--strike", "1", "--vol", "0.01", "--rate", "0.5"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == ("error: risk-free price 0.0 is not > 0; the adjustment is a "
+                             "percentage of it\n")

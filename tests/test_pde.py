@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from fva_pricer import (
+    BadStrikes,
     ConfigError,
     GridTooCoarse,
     NoConvergence,
@@ -18,11 +20,13 @@ from fva_pricer import (
     bs_price,
     long_position_price,
     solve,
+    solve_american,
+    solve_many,
     zero_haircut_spread,
 )
 from fva_pricer import pde
 from fva_pricer.funding import financing_arrays, select_financing
-from fva_pricer.pde import _pattern, _region_tables, _tridiag
+from fva_pricer.pde import _tridiag
 from conftest import EXPIRY, RATE, SPOT, STRIKE, VOL, make_config
 
 
@@ -338,37 +342,59 @@ OPERATOR_CONFIGS = {
 }
 
 
+def one_block(config, grid, book=None, side=Side.BID):
+    """The batch state of one job."""
+    return pde._Block([(0, (book or single("put"), side, config, grid))], SolverParams(),
+                      labelled=False)
+
+
 class TestRegionTables:
     @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
     @pytest.mark.parametrize("seed", range(3))
     def test_gathered_operator_equals_direct_build(self, name, seed):
-        config = OPERATOR_CONFIGS[name]
-        grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=400, dt=0.04)
-        s, ds = grid.s_nodes, grid.ds
-        region = np.random.default_rng(seed).integers(0, 4, s.size)
-        ind, long_stock = np.divmod(region, 2)
-        h, rp = financing_arrays(np.where(long_stock == 1, 1.0, -1.0), config)
-        lo, di, up, halves, upwinded = direct_operator(h, rp, ind.astype(float), s, ds,
-                                                       config)
-        op = _region_tables(s, ds, config).operator(region)
-        for got, want in ((op.lo, lo), (op.di, di), (op.up, up)):
-            assert got.tobytes() == want.tobytes()
-        assert (op.a_lo_half, op.rho_lo_half, op.a_hi_half, op.rho_hi_half) == halves
-        assert op.upwinded == upwinded
-        if name == "low_vol":
-            assert upwinded > 0
+        """One gather from a batch of every config, `name` first, equals each
+        member's direct build."""
+        names = [name] + sorted(set(OPERATOR_CONFIGS) - {name})
+        grids = [PdeGrid.build(SPOT, STRIKE, OPERATOR_CONFIGS[name].sigma, EXPIRY,
+                               n_nodes=400, dt=0.04) for name in names]
+        b = pde._Block([(i, (single("put"), Side.BID, OPERATOR_CONFIGS[name], grid))
+                        for i, (name, grid) in enumerate(zip(names, grids))],
+                       SolverParams(), labelled=True)
+        region = np.random.default_rng(seed).integers(0, 4, b.K)
+        idx, combo = b.indices(region, b.rows, slice(0, b.k), b.k)
+        gathered = [table.take(idx) for table in b.raw]
+        a_half, rho_half = b.half_a.take(combo), b.half_rho.take(combo)
+        for j, (name, grid) in enumerate(zip(names, grids)):
+            config, rows = OPERATOR_CONFIGS[name], slice(j * b.n, (j + 1) * b.n)
+            s, ds = grid.s_nodes, grid.ds
+            ind, long_stock = np.divmod(region[rows], 2)
+            h, rp = financing_arrays(np.where(long_stock == 1, 1.0, -1.0), config)
+            lo, di, up, halves, upwinded = direct_operator(h, rp, ind.astype(float), s, ds,
+                                                           config)
+            for got, want in zip(gathered, (lo, di, up)):
+                assert got[rows].tobytes() == want.tobytes()
+            assert (a_half[0, j], rho_half[0, j], a_half[1, j], rho_half[1, j]) == halves
+            got_upwinded = 0 if b.upwind is None else int(b.upwind.take(idx[rows]).sum())
+            assert got_upwinded == upwinded
+            if name == "low_vol":
+                assert upwinded > 0
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
     def test_pattern_region_matches_its_financing(self, name):
         config = OPERATOR_CONFIGS[name]
         grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=400, dt=0.04)
         u = np.random.default_rng(7).normal(size=grid.s_nodes.size)
-        pat = _pattern(u, grid.s_nodes, grid.ds, config)
-        assert set(np.unique(pat.region)) == {0, 1, 2, 3}
-        np.testing.assert_array_equal(pat.ind, pat.region // 2)
+        b = one_block(config, grid)
+        region, arg, debt = b.pattern(u, slice(0, b.K), slice(0, 1), 1)
+        assert set(np.unique(region)) == {0, 1, 2, 3}
+        np.testing.assert_array_equal(debt, region // 2 == 1)
         haircut = [select_financing(-1, config).h_signed,
                    select_financing(1, config).h_signed]
-        np.testing.assert_array_equal(pat.h, np.take(haircut, pat.region % 2))
+        slope = np.gradient(u, grid.ds)
+        np.testing.assert_array_equal(region % 2, slope <= 0.0)
+        h = np.take(haircut, region % 2)
+        np.testing.assert_array_equal(arg, u - h * grid.s_nodes * slope)
+        np.testing.assert_array_equal(debt, arg > 0.0)
 
 
 def banded(lower, diag, upper):
@@ -409,15 +435,17 @@ class TestTridiag:
             _tridiag(np.zeros(5), diag, np.zeros(5), np.ones(5))
 
 
-def confirming_substep(st, dts, theta):
-    """The substep without the repeat skip: it always runs the confirming solve."""
-    params, obstacle, sign = st.params, st.obstacle, st.sign
-    op = st.tables.operator(st.pat.region)
-    rhs = pde._rhs_vector(st.u, op, st.ds, dts, theta)
-    pat, ex, u_prev = st.pat, st.exercised, st.u
-    for _ in range(params.funding_max_iters):
-        st.upwinded = max(st.upwinded, op.upwinded)
-        lo, di, up = pde._implicit_system(op, st.ds, dts, theta)
+def confirming_substep(b, act, kind):
+    """The substep of a one-job batch without the repeat skip: it always runs the
+    confirming solve."""
+    obstacle, whole, member = b.obstacle, slice(0, b.K), slice(0, 1)
+    idx, combo = b.indices(b.region, b.rows, member, 1)
+    rhs = b.rhs(b.u, idx, combo, whole, member, kind)
+    region, arg, debt, ex, u_prev = b.region, b.arg, b.debt, b.ex, b.u
+    for _ in range(b.params.funding_max_iters):
+        if b.upwind is not None:
+            b.count_upwind(idx, member, 1)
+        lo, di, up = b.system(idx, combo, kind)
         if obstacle is None:
             x, new_ex = pde._tridiag(lo, di, up, rhs), ex
         else:
@@ -427,17 +455,17 @@ def confirming_substep(st, dts, theta):
             resid = di * x - rhs
             resid[1:] += lo[1:] * x[:-1]
             resid[:-1] += up[:-1] * x[1:]
-            new_ex = sign * (x - obstacle) <= sign * resid
+            new_ex = b.sign_row * (x - obstacle) <= b.sign_row * resid
         change = float(np.max(np.abs(x - u_prev)))
-        new_pat = pde._pattern(x, st.s, st.ds, st.config)
-        done = st._converged(change, new_pat, pat)
-        u_prev, old, pat = x, pat, new_pat
+        new_region, new_arg, new_debt = b.pattern(x, whole, member, 1)
+        done = b.converged(0, whole, change, new_region, new_arg, region, arg)
+        u_prev, region, arg, old_debt, debt = x, new_region, new_arg, debt, new_debt
         old_ex, ex = ex, new_ex
         if done:
-            st.u, st.pat, st.exercised = x, pat, ex
+            b.store(whole, x, region, arg, debt, ex)
             return
-        op = st.tables.operator(pat.region)
-    raise st.no_convergence(change, pat, old, ex, old_ex)
+        idx, combo = b.indices(region, b.rows, member, 1)
+    b.fail(0, NoConvergence, b.no_convergence(0, whole, change, debt, old_debt, ex, old_ex))
 
 
 SKIP_CONFIGS = {
@@ -493,3 +521,146 @@ class TestRepeatSkip:
         monkeypatch.setattr(pde, "_substep", confirming_substep)
         pde.solve(BULL, Side.BID, config, grid)
         assert skipping < 0.75 * (len(calls) - skipping)
+
+
+def blocks_of(rng, k):
+    """k random diagonally dominant tridiagonal systems of random sizes."""
+    parts = []
+    for _ in range(k):
+        n = int(rng.integers(3, 60))
+        lower, upper = rng.normal(size=n), rng.normal(size=n)
+        diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)) \
+            * rng.choice([-1.0, 1.0], n)
+        parts.append((lower, diag, upper, rng.normal(size=n)))
+    return parts
+
+
+BATCH_CONFIGS = [make_config(), *OPERATOR_CONFIGS.values()]
+BATCH_NODES = 120
+
+
+def batch_book(kind, strike, expiry, style):
+    if kind == "bull":
+        return Portfolio(legs=(OptionLeg("call", strike - 5.0, 1.0, style),
+                               OptionLeg("call", strike + 5.0, -1.0, style)), expiry=expiry)
+    return Portfolio.single(kind, strike, expiry, style=style)
+
+
+@st.composite
+def batch_jobs(draw):
+    """1-8 jobs of one node count: European and American books on every side,
+    with different expiries, strikes, configs and time steps."""
+    jobs = []
+    for _ in range(draw(st.integers(1, 8))):
+        book = batch_book(draw(st.sampled_from(["put", "call", "bull"])),
+                          draw(st.sampled_from([90.0, 100.0, 110.0])),
+                          draw(st.sampled_from([0.5, 1.0, 2.0])),
+                          draw(st.sampled_from(["european", "american"])))
+        config = draw(st.sampled_from(BATCH_CONFIGS))
+        grid = PdeGrid.for_portfolio(SPOT, book, config, n_nodes=BATCH_NODES,
+                                     dt=draw(st.sampled_from([0.05, 0.1])))
+        jobs.append((book, draw(st.sampled_from(list(Side))), config, grid))
+    return jobs
+
+
+def alone(job, params):
+    """The job's stand-alone solve, or the error it raises."""
+    run = solve_american if job[0].style == "american" else solve
+    try:
+        return run(*job, params)
+    except NoConvergence as exc:
+        return exc
+
+
+def result_bytes(res):
+    return (res.value, res.delta, res.gamma, res.profile.tobytes(), res.funding_boundary,
+            res.upwinded_nodes)
+
+
+class TestBatch:
+    """Every member of a batch is bit for bit its stand-alone solve."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(jobs=batch_jobs(), budget=st.sampled_from([2, 3, 50]))
+    def test_members_equal_their_own_solves(self, jobs, budget):
+        params = SolverParams(funding_max_iters=budget)
+        singles = [alone(job, params) for job in jobs]
+        failed = [(i, out) for i, out in enumerate(singles) if isinstance(out, Exception)]
+        if failed:
+            index, first = failed[0]
+            with pytest.raises(NoConvergence) as info:
+                solve_many(jobs, params)
+            label = f"job {index} (" if len(jobs) > 1 else ""
+            assert str(info.value).startswith(label)
+            assert str(info.value).endswith(str(first))
+            return
+        batch = solve_many(jobs, params)
+        assert [result_bytes(r) for r in batch] == [result_bytes(r) for r in singles]
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_one_gtsv_over_zero_seams_equals_separate_solves(self, k):
+        parts = blocks_of(np.random.default_rng(k), k)
+        lower, diag, upper, rhs = (np.concatenate(column) for column in zip(*parts))
+        seams = np.cumsum([p[1].size for p in parts])[:-1]
+        lower[seams] = 0.0
+        upper[seams - 1] = 0.0
+        x = _tridiag(lower, diag, upper, rhs)
+        for part, block in zip(parts, np.split(x, seams)):
+            assert block.tobytes() == _tridiag(*part).tobytes()
+
+    def test_blocks_split_at_the_row_cap(self, monkeypatch):
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25, sec_haircut=0.15)
+        jobs = [(batch_book(kind, 100.0, expiry, "european"), side, cfg,
+                 PdeGrid.build(SPOT, 105.0, VOL, expiry, n_nodes=BATCH_NODES, dt=0.1))
+                for kind in ("put", "bull") for expiry in (0.5, 2.0)
+                for side in (Side.BID, Side.ASK)]
+        whole = [result_bytes(r) for r in solve_many(jobs)]
+        sizes = []
+        block = pde._Block
+        monkeypatch.setattr(pde, "_Block", lambda jobs, *a, **kw: (
+            sizes.append(len(jobs)), block(jobs, *a, **kw))[1])
+        monkeypatch.setattr(pde, "MAX_BLOCK_ROWS", 3 * BATCH_NODES + 1)
+        assert [result_bytes(r) for r in solve_many(jobs)] == whole
+        assert sizes == [3, 3, 2]
+
+    def test_mismatched_node_counts_rejected(self, classic_config):
+        book = single("put")
+        jobs = [(book, Side.BID, classic_config,
+                 PdeGrid.build(SPOT, STRIKE, VOL, EXPIRY, n_nodes=n, dt=0.1))
+                for n in (120, 121)]
+        with pytest.raises(ConfigError, match="one node count"):
+            solve_many(jobs)
+
+    def test_exhausted_budget_names_its_job(self, coarse_grid):
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
+                          sec_haircut=0.15)
+        jobs = [(single("put"), side, cfg, coarse_grid) for side in (Side.BID, Side.ASK)]
+        with pytest.raises(NoConvergence) as info:
+            solve_many(jobs, SolverParams(funding_max_iters=1))
+        assert str(info.value).startswith(
+            "job 0 (bid: +1 put 100; european, expiry 2): funding-boundary iteration "
+            "exceeded 1 iterations at step 0 (t=1.96): last change ")
+
+    def test_first_submitted_failure_wins(self, coarse_grid):
+        """The batch runs the longer job first; the error raised is still the
+        one of the job submitted first."""
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
+                          sec_haircut=0.15)
+        short = PdeGrid.build(SPOT, STRIKE, VOL, 0.5, n_nodes=500, dt=0.04)
+        jobs = [(single("put", expiry=0.5), Side.BID, cfg, short),
+                (single("put"), Side.ASK, cfg, coarse_grid)]
+        params = SolverParams(funding_max_iters=1)
+        with pytest.raises(NoConvergence, match=r"^job 0 \(bid: \+1 put 100; european, "
+                                                r"expiry 0.5\): .* at step 0 \(t=0.461538\)"):
+            solve_many(jobs, params)
+
+    def test_error_of_the_job_iterable_comes_after_the_jobs_before_it(self, coarse_grid,
+                                                                     classic_config):
+        def jobs():
+            yield single("put"), Side.BID, classic_config, coarse_grid
+            raise BadStrikes("the second job could not be built")
+
+        with pytest.raises(BadStrikes):
+            solve_many(jobs())
+        with pytest.raises(NoConvergence):
+            solve_many(jobs(), SolverParams(funding_max_iters=1))

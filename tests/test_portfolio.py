@@ -13,7 +13,9 @@ from fva_pricer import (
     bs_price,
     build_strategy,
     netting_report,
+    netting_reports,
     quote,
+    quote_many,
     solve,
     solve_american,
 )
@@ -146,6 +148,21 @@ class TestQuote:
         assert (bid.price, bid.delta, bid.gamma) == (long_.value, long_.delta, long_.gamma)
         assert (ask.price, ask.delta, ask.gamma) == (-short.value, -short.delta,
                                                      -short.gamma)
+
+    def test_quote_many_equals_each_quote(self):
+        cfg = make_config(**FUNDED)
+        books = [(book, config, grid_for(book, config, nodes=200, dt=0.1))
+                 for book in (build_strategy("bull", [95, 105], 1.0),
+                              Portfolio.single("put", STRIKE, EXPIRY, style="american"))
+                 for config in (cfg, cfg.degenerate())]
+        assert quote_many(books) == [quote(*book) for book in books]
+
+    def test_netting_reports_equal_each_report(self):
+        cfg = make_config(**FUNDED)
+        books = [(pf, grid_for(pf, cfg, nodes=200, dt=0.1))
+                 for pf in (build_strategy("bull", [95, 105], t) for t in (0.5, 1.0, 2.0))]
+        assert netting_reports(books, cfg) == [netting_report(pf, cfg, grid)
+                                               for pf, grid in books]
 
     def test_american_book_uses_the_exercise_solver(self):
         cfg = make_config(**FUNDED)
