@@ -53,9 +53,10 @@ from .market import FundingConfig, Portfolio, Side, terminal_payoff
 # most time steps one grid may take, so a tiny dt fails fast instead of running for hours
 MAX_TIME_STEPS = 100_000
 # most rows one batched solve holds (one job always fits): longer job lists run
-# block by block, which bounds the workspace, about 0.4 kB a row.  The time per
-# job stops falling near this size (20 jobs of 400 nodes; see CHANGES.md).
-MAX_BLOCK_ROWS = 8192
+# block by block, which bounds the workspace to about 0.35 kB a row.  The time
+# per job stops falling from about 8000 rows on (see CHANGES.md); twice that
+# keeps the 21 solves of an fva-curve on 400 nodes in one block.
+MAX_BLOCK_ROWS = 16_384
 
 Job = tuple[Portfolio, Side, FundingConfig, "PdeGrid"]
 
@@ -256,7 +257,8 @@ def _residual(A_lo: np.ndarray, A_di: np.ndarray, A_up: np.ndarray,
 
 
 # (theta, fraction of dt) of each substep kind: an implicit-Euler half step
-# of the Rannacher start-up, and a Crank-Nicolson step
+# of the Rannacher start-up, and a Crank-Nicolson step; the fractions are
+# powers of two, so dt * fraction is exact
 _KINDS = ((1.0, 0.5), (0.5, 1.0))
 
 
@@ -335,7 +337,7 @@ class _Block:
             (lo[:, cols], di[:, cols], up[:, cols], upwind[:, cols], a_conv[:, cols],
              rho[j]) = _region_tables(g.s_nodes, g.ds, c)
         self.raw = (lo.ravel(), di.ravel(), up.ravel())
-        self.upwind = upwind.astype(np.intp).ravel() if upwind.any() else None
+        self.upwind = upwind.astype(np.int8).ravel() if upwind.any() else None
         self.upwinded = np.zeros(k, dtype=np.intp)
 
         # half-node coefficients of each member's two boundary rows, for each of
@@ -352,12 +354,12 @@ class _Block:
 
         # per substep kind: dts and the two boundary rows of each region pair;
         # `system` builds the implicit system of each region for one kind at a time
-        self.dts_row, self.two_dts, self.plus, self.minus = [], [], [], []
+        self.dts, self.two_dts, self.plus, self.minus = [], [], [], []
         self.lhs_kind, self.lhs = None, None
         ds = self.ds[:, None, None]
         for theta, fraction in _KINDS:
-            dts = np.array([g.dt if fraction == 1.0 else g.dt / 2.0 for g in grids])
-            self.dts_row.append(np.repeat(dts, n))
+            dts = np.array(self.dt) * fraction
+            self.dts.append(dts)
             self.two_dts.append(2.0 * dts)
             c0 = (1.0 / (2.0 * dts))[:, None, None]
             ta, tr = theta * half_a / ds, theta * half_rho / 2.0
@@ -401,7 +403,7 @@ class _Block:
         lu += up[1:-1] * u[2:]
         lu *= w
         out = np.empty_like(u)
-        np.divide(u[1:-1], self.dts_row[kind][sel][1:-1], out=out[1:-1])
+        np.divide(u[1:-1], np.repeat(self.dts[kind][msel], self.n)[1:-1], out=out[1:-1])
         out[1:-1] += lu
         # boundary rows: the convection-reaction equation at the half node
         ub = u.take(self.bpos[:, :combo.shape[1]])
@@ -428,8 +430,8 @@ class _Block:
             # dropped once the Crank-Nicolson steps begin
             theta, (lo, di, up) = _KINDS[kind][0], self.raw
             self.lhs = None
-            self.lhs = (-theta * lo, (1.0 / self.dts_row[kind] - theta * di.reshape(4, -1)).ravel(),
-                        -theta * up)
+            inv_dts = np.repeat(1.0 / self.dts[kind], self.n)
+            self.lhs = (-theta * lo, (inv_dts - theta * di.reshape(4, -1)).ravel(), -theta * up)
             self.lhs_kind = kind
         A_lo, A_di, A_up = (table.take(idx) for table in self.lhs)
         plus, minus = self.plus[kind].take(combo), self.minus[kind].take(combo)
@@ -462,7 +464,7 @@ class _Block:
         return region, arg, debt
 
     def count_upwind(self, idx: np.ndarray, msel, ka: int) -> None:
-        counts = np.add.reduceat(self.upwind.take(idx), self.ends[0, :ka])
+        counts = np.add.reduceat(self.upwind.take(idx), self.ends[0, :ka], dtype=np.intp)
         self.upwinded[msel] = np.maximum(self.upwinded[msel], counts)
 
     # -- bookkeeping ---------------------------------------------------------
