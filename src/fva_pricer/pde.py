@@ -356,6 +356,9 @@ class _Block:
         # `system` builds the implicit system of each region for one kind at a time
         self.dts, self.two_dts, self.plus, self.minus = [], [], [], []
         self.lhs_kind, self.lhs = None, None
+        # (row slice, idx, combo) of a substep that ended on the region codes it
+        # gathered with, for the next substep of the same members
+        self.kept = None
         ds = self.ds[:, None, None]
         for theta, fraction in _KINDS:
             dts = np.array(self.dt) * fraction
@@ -592,7 +595,12 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
     ka = act.size
     u_prev, region, arg, debt, ex = b.u[sel], b.region[sel], b.arg[sel], b.debt[sel], b.ex[sel]
     rows = b.rows[sel]
-    idx, combo = b.indices(region, rows, msel, ka)
+    # the indices the last substep gathered with still hold if it ended on them
+    kept, b.kept = b.kept, None
+    if kept is not None and isinstance(sel, slice) and kept[0] == sel:
+        idx, combo = kept[1:]
+    else:
+        idx, combo = b.indices(region, rows, msel, ka)
     rhs = b.rhs(u_prev, idx, combo, sel, msel, kind)
     it = 0
     while True:
@@ -633,6 +641,8 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
             if it + 1 < budget and not (new_region != region).any() and (
                     obstacle is None or not (new_ex != ex).any()):
                 b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+                if isinstance(sel, slice):
+                    b.kept = (sel, idx, combo)
                 return
             # member by member: the repeat rule, else the convergence test
             first = b.ends[0, :ka]

@@ -654,6 +654,22 @@ class TestBatch:
                                                 r"expiry 0.5\): .* at step 0 \(t=0.461538\)"):
             solve_many(jobs, params)
 
+    def test_members_before_a_failure_finish_bit_for_bit(self, classic_config):
+        """The failing job runs first in the batch; the job submitted before it
+        goes on alone, as a member that is no longer a prefix of the batch."""
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
+                          sec_haircut=0.15)
+        params = SolverParams(funding_max_iters=2)
+        ok = (single("put", expiry=0.5), Side.RISK_FREE, classic_config,
+              PdeGrid.build(SPOT, STRIKE, VOL, 0.5, n_nodes=BATCH_NODES, dt=0.05))
+        bad = (single("put"), Side.BID, cfg,
+               PdeGrid.build(SPOT, STRIKE, VOL, EXPIRY, n_nodes=BATCH_NODES, dt=0.05))
+        assert isinstance(alone(bad, params), NoConvergence)
+        b = pde._Block([(0, ok), (1, bad)], params, labelled=True)
+        b.run()
+        assert list(b.errors) == [1]
+        assert result_bytes(dict(b.results())[0]) == result_bytes(alone(ok, params))
+
     def test_error_of_the_job_iterable_comes_after_the_jobs_before_it(self, coarse_grid,
                                                                      classic_config):
         def jobs():
