@@ -3,8 +3,9 @@
 `quote_many` prices books on both sides of the market in one solver batch:
 the bid is the long book, the ask the short book.  A multi-leg book
 financed as one economy only funds its net stock position, so its
-funding-induced bid/ask spread is narrower than the sum of per-leg spreads.  `netting_reports` quantifies that
-gap by quoting each book once as a whole and once leg by leg.
+funding-induced bid/ask spread is narrower than the sum of per-leg spreads.
+`netting_reports` quantifies that gap by quoting each book once as a whole
+and once leg by leg.
 """
 
 from __future__ import annotations
