@@ -530,7 +530,7 @@ class _Block:
                 t = self.expiry[j] - (self.step + 1) * self.dt[j]
                 self.boundary[j].append((t, float(0.5 * (s[i] + s[i + 1]))))
 
-    # -- driver --------------------------------------------------------------
+    # -- stepping ------------------------------------------------------------
 
     def run(self, keep_slices: bool = False) -> list[np.ndarray] | None:
         """Backward induction of every member; a failed member records its error."""
