@@ -472,9 +472,12 @@ class _Block:
 
     # -- bookkeeping ---------------------------------------------------------
 
+    def time(self, j: int) -> float:
+        """Time of member j's slice at the end of the current step."""
+        return self.expiry[j] - (self.step + 1) * self.dt[j]
+
     def where(self, j: int) -> str:
-        t = self.expiry[j] - (self.step + 1) * self.dt[j]
-        return f"at step {self.step} (t={t:.6g})"
+        return f"at step {self.step} (t={self.time(j):.6g})"
 
     def fail(self, j: int, error: type[Exception], message: str) -> None:
         """Record member j's error; it, and every member submitted after the
@@ -527,8 +530,7 @@ class _Block:
             j = int(act[i // n])
             if self.spread[j] > 0.0 and \
                     max(abs(arg[i]), abs(arg[i + 1])) > 1e-9 * self.s_top[j]:
-                t = self.expiry[j] - (self.step + 1) * self.dt[j]
-                self.boundary[j].append((t, float(0.5 * (s[i] + s[i + 1]))))
+                self.boundary[j].append((self.time(j), float(0.5 * (s[i] + s[i + 1]))))
 
     # -- stepping ------------------------------------------------------------
 
