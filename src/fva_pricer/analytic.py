@@ -17,7 +17,7 @@ from scipy.special import erfc
 
 from .errors import ConfigError, HaircutNotZero, NoConvergence, PriceOutOfBounds
 from .funding import select_financing
-from .market import FundingConfig, OptionKind, Side
+from .market import FundingConfig, OptionKind, Side, _require_positive
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -124,9 +124,7 @@ def closed_form(kind: OptionKind, side: Side, spot: float, strike: float,
             a result out of floating-point range.
         HaircutNotZero: see `lognormal_rates`.
     """
-    for name, value in (("spot", spot), ("strike", strike), ("expiry", expiry)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+    _require_positive(spot=spot, strike=strike, expiry=expiry)
     growth, discount = lognormal_rates(kind, side, config)
     sigma = config.sigma
     price, delta, d1 = lognormal(kind, spot, strike, expiry, growth, discount, sigma)

@@ -32,10 +32,11 @@ import click
 
 from .analytic import bs_price, closed_form, implied_vol, long_position_price
 from .errors import ConfigError, NoConvergence, PricingError
-from .market import FundingConfig, OptionLeg, Portfolio, Side, load_portfolio
+from .market import FundingConfig, OptionLeg, Portfolio, Side, _require_positive, \
+    load_portfolio
 from .pde import PdeGrid, solve, solve_many
 from .portfolio import STRATEGIES, build_strategy, netting_reports, quote_many
-from .replication import simulate_hedge
+from .replication import PdeOracle, simulate_hedge
 
 CSV_VERSION = "fva-pricer v1"
 
@@ -46,8 +47,8 @@ FVA_CURVE_CASES = (
     ("h035_repo150", 0.35, 0.015),
 )
 
-# validation-error fields -> the flags that can set them; a command names the
-# ones it has
+# validation-error fields -> the flags that can set them, where those are not
+# --<field-with-dashes>; a command names the ones it has
 FIELD_FLAGS = {
     "r": ("--rate",),
     "r_b": ("--borrow-rate", "--borrow-spread"),
@@ -57,27 +58,11 @@ FIELD_FLAGS = {
     "rebate_rate": ("--rebate-rate", "--rebate-spread"),
     "repo_haircut": ("--repo-haircut", "--haircut"),
     "sec_haircut": ("--sec-haircut", "--haircut"),
-    "spot": ("--spot",),
-    "strike": ("--strike",),
     "expiry": ("--expiry", "--expiries"),
-    "dt": ("--dt",),
-    "portfolio": ("--portfolio",),
-    "fixture": ("--fixture",),
-    "config": ("--config",),
-    "mu": ("--mu",),
-    "seed": ("--seed",),
-    "steps": ("--steps",),
-    "paths": ("--paths",),
-    "spread_step": ("--spread-step",),
-    "spread_max": ("--spread-max",),
 }
 
 # most spreads one fva-curve case may sweep
 MAX_CURVE_SPREADS = 1000
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -88,15 +73,22 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _csv(command: str, header: list[str], rows: list[list]) -> str:
-    lines = [f"# {CSV_VERSION} {command}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _emit_table(kw, command: str, records: list[dict], report=None) -> None:
+    """`records` as CSV under `# fva-pricer v1 <command>`, or as JSON: `report`
+    when given, else the records themselves."""
+    if kw["fmt"] == "json":
+        text = _json_text(records if report is None else report)
+    else:
+        lines = [f"# {CSV_VERSION} {command}", ",".join(records[0])]
+        for record in records:
+            lines.append(",".join(format(float(v), ".10g") if isinstance(v, float) else str(v)
+                                  for v in record.values()))
+        text = "\n".join(lines) + "\n"
+    _emit(text, kw["output"])
 
 
 def _fail(code: int, message: str) -> None:
@@ -106,34 +98,16 @@ def _fail(code: int, message: str) -> None:
 
 def _config_message(exc: ConfigError) -> str:
     """`<flag>: <ErrorClass>, <message>` when a flag of this command set the field."""
+    if exc.field is None:
+        return str(exc)
     params = click.get_current_context().command.params
     opts = {opt for p in params for opt in p.opts}
-    flags = [f for f in FIELD_FLAGS.get(exc.field, ()) if f in opts]
+    candidates = FIELD_FLAGS.get(exc.field, ("--" + exc.field.replace("_", "-"),))
+    flags = [f for f in candidates if f in opts]
     if not flags:
         return str(exc)
     return f"{'/'.join(flags)}: {type(exc).__name__}, {exc}"
 
-
-def _handled(fn):
-    """Map library errors onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except NoConvergence as exc:
-            _fail(3, str(exc))
-        except ConfigError as exc:
-            _fail(2, _config_message(exc))
-        except PricingError as exc:
-            _fail(2, str(exc))
-
-    return wrapper
-
-
-# ---------------------------------------------------------------------------
-# config-file merging
-# ---------------------------------------------------------------------------
 
 def _read_kv_file(path: str) -> dict[str, str]:
     try:
@@ -152,18 +126,18 @@ def _read_kv_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(ctx: click.Context, kw: dict) -> dict:
+def _apply_config_file(kw: dict) -> dict:
     """Overlay config-file values onto parameters left at their defaults."""
     path = kw.get("config")
     if not path:
         return kw
-    file_vals = _read_kv_file(path)
+    ctx = click.get_current_context()
     by_name = {}
     for p in ctx.command.params:
         by_name[p.name] = p
         for opt in p.opts:
             by_name[opt.lstrip("-").replace("-", "_")] = p
-    for name, raw in file_vals.items():
+    for name, raw in _read_kv_file(path).items():
         param = by_name.get(name)
         if param is None:
             raise ConfigError(f"unknown key {name!r}", field="config")
@@ -174,80 +148,96 @@ def _apply_config_file(ctx: click.Context, kw: dict) -> dict:
     return kw
 
 
+@click.group()
+@click.version_option(version="0.1.0", prog_name="fva-pricer")
+def main() -> None:
+    """Option pricing with funding costs."""
+
+
 # ---------------------------------------------------------------------------
-# shared option groups
+# option groups and the command skeleton
 # ---------------------------------------------------------------------------
 
-def market_options(fn, expiry: bool = True):
-    """Market flags; netting leaves out --expiry and reads --expiries."""
-    for deco in reversed([
-        click.option("--spot", type=float, default=100.0, show_default=True,
-                     help="Stock price."),
-        *([click.option("--expiry", type=float, default=2.0, show_default=True,
-                        help="Time to expiry in years.")] if expiry else []),
-        click.option("--rate", type=float, default=0.10, show_default=True,
-                     help="Risk-free deposit rate."),
-        click.option("--vol", type=float, default=0.5, show_default=True,
-                     help="Lognormal volatility."),
-        click.option("--dividend-yield", type=float, default=0.0, show_default=True,
-                     help="Continuous dividend yield."),
-    ]):
-        fn = deco(fn)
-    return fn
+MARKET = [
+    click.Option(["--spot"], type=float, default=100.0, show_default=True,
+                 help="Stock price."),
+    click.Option(["--expiry"], type=float, default=2.0, show_default=True,
+                 help="Time to expiry in years."),
+    click.Option(["--rate"], type=float, default=0.10, show_default=True,
+                 help="Risk-free deposit rate."),
+    click.Option(["--vol"], type=float, default=0.5, show_default=True,
+                 help="Lognormal volatility."),
+    click.Option(["--dividend-yield"], type=float, default=0.0, show_default=True,
+                 help="Continuous dividend yield."),
+]
+
+FUNDING = [
+    click.Option(["--borrow-rate"], type=float, default=None,
+                 help="Unsecured borrowing rate (absolute)."),
+    click.Option(["--borrow-spread"], type=float, default=None,
+                 help="Unsecured spread over --rate."),
+    click.Option(["--repo-rate"], type=float, default=None,
+                 help="Secured financing rate for long stock (absolute)."),
+    click.Option(["--repo-spread"], type=float, default=None,
+                 help="Repo spread over --rate."),
+    click.Option(["--rebate-rate"], type=float, default=None,
+                 help="Rebate on stock-borrow cash margin (absolute)."),
+    click.Option(["--rebate-spread"], type=float, default=None,
+                 help="Rebate spread over --rate (usually negative)."),
+    click.Option(["--repo-haircut"], type=float, default=0.0, show_default=True),
+    click.Option(["--sec-haircut"], type=float, default=0.0, show_default=True),
+    click.Option(["--no-repo"], is_flag=True, default=False,
+                 help="Fund the whole stock hedge unsecured."),
+]
 
 
-def funding_options(fn):
-    for deco in reversed([
-        click.option("--borrow-rate", type=float, default=None,
-                     help="Unsecured borrowing rate (absolute)."),
-        click.option("--borrow-spread", type=float, default=None,
-                     help="Unsecured spread over --rate."),
-        click.option("--repo-rate", type=float, default=None,
-                     help="Secured financing rate for long stock (absolute)."),
-        click.option("--repo-spread", type=float, default=None,
-                     help="Repo spread over --rate."),
-        click.option("--rebate-rate", type=float, default=None,
-                     help="Rebate on stock-borrow cash margin (absolute)."),
-        click.option("--rebate-spread", type=float, default=None,
-                     help="Rebate spread over --rate (usually negative)."),
-        click.option("--repo-haircut", type=float, default=0.0, show_default=True),
-        click.option("--sec-haircut", type=float, default=0.0, show_default=True),
-        click.option("--no-repo", is_flag=True, default=False,
-                     help="Fund the whole stock hedge unsecured."),
-    ]):
-        fn = deco(fn)
-    return fn
+def _grid(nodes: int = 2000) -> list[click.Option]:
+    return [
+        click.Option(["--nodes"], type=int, default=nodes, show_default=True,
+                     help="Spatial grid nodes."),
+        click.Option(["--dt"], type=float, default=0.02, show_default=True,
+                     help="Time step in years."),
+    ]
 
 
-def grid_options(nodes_default: int = 2000, dt_default: float = 0.02):
-    def wrap(fn):
-        for deco in reversed([
-            click.option("--nodes", type=int, default=nodes_default, show_default=True,
-                         help="Spatial grid nodes."),
-            click.option("--dt", type=float, default=dt_default, show_default=True,
-                         help="Time step in years."),
-        ]):
-            fn = deco(fn)
-        return fn
-    return wrap
+OUTPUT = [
+    click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
+                 default="csv", show_default=True),
+    click.Option(["--output"], type=str, default="-", show_default=True,
+                 help="Output path, '-' for stdout."),
+    click.Option(["--config"], type=click.Path(exists=True, dir_okay=False),
+                 default=None, help="key=value file mirroring flag names."),
+]
 
 
-def output_options(fn):
-    for deco in reversed([
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", show_default=True),
-        click.option("--output", type=str, default="-", show_default=True,
-                     help="Output path, '-' for stdout."),
-        click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="key=value file mirroring flag names."),
-    ]):
-        fn = deco(fn)
-    return fn
+def command(*groups: list[click.Option], without: tuple[str, ...] = ()):
+    """Register the decorated function as a command of `main`.
+
+    The command takes its own options, then those of `groups` not named in
+    `without`.  The body gets every value with the `--config` file overlaid,
+    and library errors become the documented exit codes.
+    """
+    def register(fn):
+        @functools.wraps(fn)
+        def run(**kw):
+            try:
+                fn(**_apply_config_file(kw))
+            except NoConvergence as exc:
+                _fail(3, str(exc))
+            except ConfigError as exc:
+                _fail(2, _config_message(exc))
+            except PricingError as exc:
+                _fail(2, str(exc))
+
+        cmd = main.command()(run)
+        cmd.params += [opt for group in groups for opt in group if opt.name not in without]
+        return cmd
+    return register
 
 
 def _resolve_rate(kw, name: str) -> float:
     """--<name>-rate, else --rate plus --<name>-spread, else --rate."""
-    absolute, spread = kw.get(f"{name}_rate"), kw.get(f"{name}_spread")
+    absolute, spread = kw[f"{name}_rate"], kw[f"{name}_spread"]
     if absolute is not None and spread is not None:
         raise ConfigError(f"--{name}-rate and --{name}-spread are mutually exclusive")
     if absolute is not None:
@@ -258,24 +248,17 @@ def _resolve_rate(kw, name: str) -> float:
 def _funding_config(kw) -> FundingConfig:
     """FundingConfig from the flags; FundingConfig itself validates them."""
     return FundingConfig(
-        r=kw["rate"], r_b=_resolve_rate(kw, "borrow"),
-        q=kw.get("dividend_yield", 0.0), sigma=kw["vol"],
-        repo_rate=_resolve_rate(kw, "repo"), repo_haircut=kw.get("repo_haircut", 0.0),
-        rebate_rate=_resolve_rate(kw, "rebate"), sec_haircut=kw.get("sec_haircut", 0.0),
-        no_repo=kw.get("no_repo", False))
-
-
-@click.group()
-@click.version_option(version="0.1.0", prog_name="fva-pricer")
-def main() -> None:
-    """Option pricing with funding costs."""
+        r=kw["rate"], r_b=_resolve_rate(kw, "borrow"), q=kw["dividend_yield"],
+        sigma=kw["vol"], repo_rate=_resolve_rate(kw, "repo"),
+        repo_haircut=kw["repo_haircut"], rebate_rate=_resolve_rate(kw, "rebate"),
+        sec_haircut=kw["sec_haircut"], no_repo=kw["no_repo"])
 
 
 # ---------------------------------------------------------------------------
 # price
 # ---------------------------------------------------------------------------
 
-@main.command()
+@command(MARKET, FUNDING, _grid(), OUTPUT)
 @click.option("--kind", type=click.Choice(["call", "put"]), default=None,
               help="Vanilla option kind; omit when pricing a --portfolio file.")
 @click.option("--strike", type=float, default=100.0, show_default=True)
@@ -291,15 +274,8 @@ def main() -> None:
                    "all rates to --rate.")
 @click.option("--engine", type=click.Choice(["pde", "analytic"]),
               default="pde", show_default=True)
-@market_options
-@funding_options
-@grid_options()
-@output_options
-@click.pass_context
-@_handled
-def price(ctx: click.Context, **kw) -> None:
+def price(**kw) -> None:
     """Bid, ask, and risk-free reference quote for an option or a book."""
-    kw = _apply_config_file(ctx, kw)
     config = _funding_config(kw)
     if kw["side"] == "riskfree":
         config = config.degenerate()
@@ -335,7 +311,7 @@ def price(ctx: click.Context, **kw) -> None:
 
     # --side all reports the risk-free greeks
     greeks = {"bid": bid, "ask": ask}.get(kw["side"], mid)
-    payload = {
+    quote = {
         "bid": bid.price,
         "ask": ask.price,
         "mid_reference": mid.price,
@@ -344,18 +320,15 @@ def price(ctx: click.Context, **kw) -> None:
         "delta": greeks.delta,
         "gamma": greeks.gamma,
     }
-    if kw["fmt"] == "json":
-        _emit(_json_text({k: float(v) for k, v in payload.items()}), kw["output"])
-    else:
-        _emit(_csv("price", list(payload), [[float(v) for v in payload.values()]]),
-              kw["output"])
+    quote = {k: float(v) for k, v in quote.items()}
+    _emit_table(kw, "price", [quote], report=quote)
 
 
 # ---------------------------------------------------------------------------
 # fva-curve
 # ---------------------------------------------------------------------------
 
-@main.command("fva-curve")
+@command(MARKET, _grid(), OUTPUT)
 @click.option("--kind", type=click.Choice(["call", "put"]), default="put",
               show_default=True)
 @click.option("--strike", type=float, default=100.0, show_default=True)
@@ -363,25 +336,17 @@ def price(ctx: click.Context, **kw) -> None:
 @click.option("--spread-step", type=float, default=0.0025, show_default=True)
 @click.option("--engine", type=click.Choice(["analytic", "pde"]),
               default="analytic", show_default=True)
-@market_options
-@grid_options()
-@output_options
-@click.pass_context
-@_handled
-def fva_curve(ctx: click.Context, **kw) -> None:
+def fva_curve(**kw) -> None:
     """Long-position funding adjustment versus the unsecured spread.
 
     Four stock-financing cases are swept: no secured financing at all,
     zero haircut with a 50 bp repo spread, 35% haircut with 50 bp, and
     35% haircut with 150 bp.
     """
-    kw = _apply_config_file(ctx, kw)
     r, vol, q = kw["rate"], kw["vol"], kw["dividend_yield"]
     kind, spot, strike, expiry = kw["kind"], kw["spot"], kw["strike"], kw["expiry"]
     step, top = kw["spread_step"], kw["spread_max"]
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"spread_step={step} must be finite and > 0",
-                          field="spread_step")
+    _require_positive(spread_step=step)
     if not (math.isfinite(top) and top >= 0):
         raise ConfigError(f"spread_max={top} must be finite and >= 0", field="spread_max")
     if top / step > MAX_CURVE_SPREADS:
@@ -390,10 +355,18 @@ def fva_curve(ctx: click.Context, **kw) -> None:
     n = int(round(top / step))
     spreads = [i * step for i in range(n + 1)]
 
+    # the solver's own tolerance, the funding_iter_tol default: a reference at
+    # or below it is noise, and the adjustment would divide by it
+    floor = 1e-10 * strike
+
     def positive(reference: float) -> float:
         if not reference > 0:
             raise ConfigError(f"risk-free price {reference} is not > 0; the adjustment "
                               "is a percentage of it")
+        if reference <= floor:
+            raise ConfigError(f"risk-free price {reference} is at or below the solver "
+                              f"tolerance {floor:g} (1e-10 * strike); the adjustment is "
+                              "a percentage of it")
         return reference
 
     cases = [(name, spread) for name, _, _ in FVA_CURVE_CASES for spread in spreads]
@@ -421,34 +394,24 @@ def fva_curve(ctx: click.Context, **kw) -> None:
         reference = positive(bs_price(kind, spot, strike, expiry, r, q, vol).price)
         bids = [long_position_price(kind, spot, strike, expiry, config).price
                 for config in configs]
-    rows = [[name, float(spread), float(100.0 * (reference - bid) / reference)]
-            for (name, spread), bid in zip(cases, bids)]
-    if kw["fmt"] == "json":
-        payload = [{"case": c, "spread": s, "fva_percent": v} for c, s, v in rows]
-        _emit(_json_text(payload), kw["output"])
-    else:
-        _emit(_csv("fva-curve", ["case", "spread", "fva_percent"], rows), kw["output"])
+    _emit_table(kw, "fva-curve", [
+        {"case": name, "spread": float(spread),
+         "fva_percent": float(100.0 * (reference - bid) / reference)}
+        for (name, spread), bid in zip(cases, bids)])
 
 
 # ---------------------------------------------------------------------------
 # netting
 # ---------------------------------------------------------------------------
 
-@main.command()
+@command(MARKET, FUNDING, _grid(nodes=800), OUTPUT, without=("expiry",))
 @click.option("--strategy", type=click.Choice(list(STRATEGIES)), required=True)
 @click.option("--strikes", type=str, default="95,105", show_default=True,
               help="Comma-separated strikes as the strategy requires.")
 @click.option("--expiries", type=str, default="0.5,1,2", show_default=True,
               help="Comma-separated expiries in years.")
-@functools.partial(market_options, expiry=False)
-@funding_options
-@grid_options(nodes_default=800)
-@output_options
-@click.pass_context
-@_handled
-def netting(ctx: click.Context, **kw) -> None:
+def netting(**kw) -> None:
     """Netted versus synthetic bid/ask spread of a strategy across expiries."""
-    kw = _apply_config_file(ctx, kw)
     config = _funding_config(kw)
     try:
         strikes = [float(tok) for tok in kw["strikes"].split(",") if tok.strip()]
@@ -464,16 +427,13 @@ def netting(ctx: click.Context, **kw) -> None:
             yield portfolio, PdeGrid.for_portfolio(kw["spot"], portfolio, config,
                                                    n_nodes=kw["nodes"], dt=kw["dt"])
 
-    reports = netting_reports(books(), config)
-    if kw["fmt"] == "json":
-        payload = [{"strategy": kw["strategy"], "expiry": t, **rep.to_dict()}
-                   for t, rep in zip(expiries, reports)]
-        _emit(_json_text(payload), kw["output"])
-    else:
-        rows = [[float(t), rep.netted_spread, rep.synthetic_spread, rep.netting_effect]
-                for t, rep in zip(expiries, reports)]
-        _emit(_csv("netting", ["expiry", "netted_spread", "synthetic_spread",
-                               "netting_effect"], rows), kw["output"])
+    reports = list(zip(expiries, netting_reports(books(), config)))
+    _emit_table(kw, "netting", [
+        {"expiry": float(t), "netted_spread": rep.netted_spread,
+         "synthetic_spread": rep.synthetic_spread, "netting_effect": rep.netting_effect}
+        for t, rep in reports],
+        report=[{"strategy": kw["strategy"], "expiry": t, **rep.to_dict()}
+                for t, rep in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +443,14 @@ def netting(ctx: click.Context, **kw) -> None:
 TABLE1_TOLERANCES = {"price": 5e-3, "delta": 5e-4, "gamma": 1e-4}
 
 
-@main.command()
+@command(MARKET, _grid(), OUTPUT)
 @click.option("--strike", type=float, default=100.0, show_default=True)
-@market_options
-@grid_options()
-@output_options
-@click.pass_context
-@_handled
-def table1(ctx: click.Context, **kw) -> None:
+def table1(**kw) -> None:
     """Check the FD engine against the closed form on the calibration case.
 
     Exits 4 when any absolute difference exceeds its tolerance
     (price 5e-3, delta 5e-4, gamma 1e-4).
     """
-    kw = _apply_config_file(ctx, kw)
     config = FundingConfig.classic(r=kw["rate"], sigma=kw["vol"],
                                    q=kw["dividend_yield"])
     spot, strike, expiry = kw["spot"], kw["strike"], kw["expiry"]
@@ -504,7 +458,7 @@ def table1(ctx: click.Context, **kw) -> None:
     books = [Portfolio.single(kind, strike, expiry) for kind in kinds]
     fds = solve_many((portfolio, Side.RISK_FREE, config, PdeGrid.for_portfolio(
         spot, portfolio, config, n_nodes=kw["nodes"], dt=kw["dt"])) for portfolio in books)
-    rows = []
+    records = []
     ok = True
     for kind, fd in zip(kinds, fds):
         exact = bs_price(kind, spot, strike, expiry, config.r, config.q, config.sigma)
@@ -515,15 +469,10 @@ def table1(ctx: click.Context, **kw) -> None:
             diff = abs(a - b)
             status = "pass" if diff <= tol else "fail"
             ok = ok and status == "pass"
-            rows.append([kind, metric, float(a), float(b), float(diff), float(tol),
-                         status])
-    if kw["fmt"] == "json":
-        payload = [dict(zip(["option", "metric", "analytic", "fd", "abs_diff",
-                             "tolerance", "status"], row)) for row in rows]
-        _emit(_json_text(payload), kw["output"])
-    else:
-        _emit(_csv("table1", ["option", "metric", "analytic", "fd", "abs_diff",
-                              "tolerance", "status"], rows), kw["output"])
+            records.append({"option": kind, "metric": metric, "analytic": float(a),
+                            "fd": float(b), "abs_diff": float(diff),
+                            "tolerance": float(tol), "status": status})
+    _emit_table(kw, "table1", records)
     if not ok:
         sys.exit(4)
 
@@ -532,7 +481,7 @@ def table1(ctx: click.Context, **kw) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-@main.command()
+@command(MARKET, FUNDING, _grid(nodes=1000), OUTPUT, without=("dt", "fmt"))
 @click.option("--kind", type=click.Choice(["call", "put"]), required=True)
 @click.option("--strike", type=float, default=100.0, show_default=True)
 @click.option("--side", type=click.Choice(["bid", "ask", "riskfree"]),
@@ -545,26 +494,19 @@ def table1(ctx: click.Context, **kw) -> None:
               help="Counter-based RNG seed; same seed reproduces paths exactly.")
 @click.option("--oracle", type=click.Choice(["auto", "pde"]), default="auto",
               show_default=True, help="Force the FD surface oracle with 'pde'.")
-@market_options
-@funding_options
-@grid_options(nodes_default=1000)
-@output_options
-@click.pass_context
-@_handled
-def simulate(ctx: click.Context, **kw) -> None:
+def simulate(**kw) -> None:
     """Hedge an option in the funded economy and summarize terminal wealth."""
-    kw = _apply_config_file(ctx, kw)
     config = _funding_config(kw)
     side = Side(kw["side"])
     option = OptionLeg(kw["kind"], kw["strike"])
     oracle = None
     if kw["oracle"] == "pde":
-        from .replication import PdeOracle
         oracle = PdeOracle(option, kw["spot"], kw["expiry"], side, config,
                            n_steps=kw["steps"], n_nodes=kw["nodes"])
     summary = simulate_hedge(option, kw["spot"], kw["expiry"], side, config,
                              n_paths=kw["paths"], n_steps=kw["steps"],
-                             mu=kw["mu"], seed=kw["seed"], oracle=oracle)
+                             mu=kw["mu"], seed=kw["seed"], oracle=oracle,
+                             pde_nodes=kw["nodes"])
     _emit(_json_text(summary.to_json_dict()), kw["output"])
 
 
@@ -593,17 +535,13 @@ def _load_chain(path: str | None) -> tuple[float, float, float, list[dict]]:
     return spot, expiry, r, quotes
 
 
-@main.command("spread-demo")
+@command(_grid(nodes=800), OUTPUT)
 @click.option("--fixture", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Option-chain JSON; defaults to the packaged sample.")
 @click.option("--borrow-spread", type=float, default=0.03, show_default=True)
 @click.option("--repo-spread", type=float, default=0.007, show_default=True)
 @click.option("--haircut", type=float, default=0.25, show_default=True)
-@grid_options(nodes_default=800)
-@output_options
-@click.pass_context
-@_handled
-def spread_demo(ctx: click.Context, **kw) -> None:
+def spread_demo(**kw) -> None:
     """Model bid/ask spreads next to a sample long-dated option chain.
 
     Implies the dividend yield from at-the-money put-call parity and a
@@ -611,7 +549,6 @@ def spread_demo(ctx: click.Context, **kw) -> None:
     both sides of the funded economy.  Illustrative only: the chain file
     records its own market-data assumptions.
     """
-    kw = _apply_config_file(ctx, kw)
     spot, expiry, r, quotes = _load_chain(kw["fixture"])
     atm = min(quotes, key=lambda row: abs(row["strike"] - spot))
     k_atm = atm["strike"]
@@ -621,19 +558,15 @@ def spread_demo(ctx: click.Context, **kw) -> None:
     q = -math.log(parity / spot) / expiry
 
     config_base = dict(r=r, r_b=r + kw["borrow_spread"], q=q,
-                       repo_rate=r + kw["repo_spread"],
-                       repo_haircut=kw["haircut"],
-                       rebate_rate=r - kw["repo_spread"],
-                       sec_haircut=kw["haircut"])
+                       repo_rate=r + kw["repo_spread"], repo_haircut=kw["haircut"],
+                       rebate_rate=r - kw["repo_spread"], sec_haircut=kw["haircut"])
     sigmas = []
 
     def books():
         for row in quotes:
             strike = row["strike"]
-            vols = []
-            for kind, mid_key in (("call", "mid_call"), ("put", "mid_put")):
-                vols.append(implied_vol(kind, spot, strike, expiry, r, q, row[mid_key]))
-            sigma = 0.5 * (vols[0] + vols[1])
+            sigma = 0.5 * sum(implied_vol(kind, spot, strike, expiry, r, q, row[f"mid_{kind}"])
+                              for kind in ("call", "put"))
             sigmas.append(sigma)
             config = FundingConfig(sigma=sigma, **config_base)
             for kind in ("call", "put"):
@@ -642,14 +575,11 @@ def spread_demo(ctx: click.Context, **kw) -> None:
                     spot, portfolio, config, n_nodes=kw["nodes"], dt=kw["dt"])
 
     spreads = iter(ask.price - bid.price for bid, ask in quote_many(books()))
-    rows = [[row["strike"], row["call_spread"], next(spreads), row["put_spread"],
-             next(spreads), float(sigma)] for row, sigma in zip(quotes, sigmas)]
-    header = ["strike", "market_call_spread", "model_call_spread",
-              "market_put_spread", "model_put_spread", "implied_vol"]
-    if kw["fmt"] == "json":
-        _emit(_json_text([dict(zip(header, row)) for row in rows]), kw["output"])
-    else:
-        _emit(_csv("spread-demo", header, rows), kw["output"])
+    _emit_table(kw, "spread-demo", [
+        {"strike": row["strike"], "market_call_spread": row["call_spread"],
+         "model_call_spread": next(spreads), "market_put_spread": row["put_spread"],
+         "model_put_spread": next(spreads), "implied_vol": float(sigma)}
+        for row, sigma in zip(quotes, sigmas)])
 
 
 if __name__ == "__main__":

@@ -101,6 +101,13 @@ class FundingConfig:
                 and self.rebate_rate == self.r)
 
 
+def _require_positive(**values: float) -> None:
+    """Raise ConfigError, with the name as its field, at the first value not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+
+
 def validate(config: FundingConfig) -> None:
     """Check every FundingConfig invariant, raising on the first violation.
 
@@ -158,8 +165,7 @@ class OptionLeg:
             raise ConfigError(f"kind must be 'call' or 'put', got {self.kind!r}")
         if self.style not in ("european", "american"):
             raise ConfigError(f"style must be 'european' or 'american', got {self.style!r}")
-        if not (math.isfinite(self.strike) and self.strike > 0.0):
-            raise ConfigError(f"strike={self.strike} must be finite and > 0", field="strike")
+        _require_positive(strike=self.strike)
         if not (math.isfinite(self.quantity) and self.quantity != 0.0):
             raise ConfigError(f"quantity={self.quantity} must be finite and nonzero")
 
@@ -180,9 +186,7 @@ class Portfolio:
         if not self.legs:
             raise ConfigError("portfolio needs at least one leg")
         object.__setattr__(self, "legs", tuple(self.legs))
-        if not (math.isfinite(self.expiry) and self.expiry > 0.0):
-            raise ConfigError(f"expiry={self.expiry} must be finite and > 0",
-                              field="expiry")
+        _require_positive(expiry=self.expiry)
         styles = {leg.style for leg in self.legs}
         if len(styles) > 1:
             raise ConfigError("mixed exercise styles in one portfolio are not supported")

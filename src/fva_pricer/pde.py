@@ -48,7 +48,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, GridTooCoarse, NoConvergence
 from .funding import financing_arrays, select_financing  # noqa: F401  financing_arrays: traced
-from .market import FundingConfig, Portfolio, Side, terminal_payoff
+from .market import FundingConfig, Portfolio, Side, _require_positive, terminal_payoff
 
 # most time steps one grid may take, so a tiny dt fails fast instead of running for hours
 MAX_TIME_STEPS = 100_000
@@ -105,9 +105,7 @@ class PdeGrid:
         so the zero-gamma boundary sits far outside the payoff's curvature.
         At most MAX_TIME_STEPS steps of about dt cover the expiry.
         """
-        for name, value in (("spot", spot), ("expiry", expiry), ("dt", dt)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+        _require_positive(spot=spot, expiry=expiry, dt=dt)
         if not (max_strike > 0 and sigma > 0):
             raise ConfigError("max_strike and sigma must be > 0")
         if n_nodes < 16:
@@ -127,6 +125,10 @@ class PdeGrid:
             raise ConfigError(f"expiry/dt={steps:.6g} time steps exceed {MAX_TIME_STEPS}",
                               field="dt")
         ds = spot / m
+        top = (n_nodes - 1) * ds
+        if not top * top < math.inf:  # the operator divides s**2 by ds**2
+            raise ConfigError(f"spot={spot} puts the top grid node at {top:.6g}, whose "
+                              "square overflows", field="spot")
         nodes = np.arange(n_nodes, dtype=float) * ds
         n_steps = max(1, int(math.ceil(steps - 1e-12)))
         return cls(s_nodes=nodes, dt=expiry / n_steps, n_steps=n_steps, spot_index=m)
@@ -152,9 +154,8 @@ class SolverParams:
     rannacher_steps: int = 2
 
     def __post_init__(self) -> None:
-        if self.funding_iter_tol is not None and not 0 < self.funding_iter_tol < math.inf:
-            raise ConfigError(f"funding_iter_tol={self.funding_iter_tol} must be finite and > 0",
-                              field="funding_iter_tol")
+        if self.funding_iter_tol is not None:
+            _require_positive(funding_iter_tol=self.funding_iter_tol)
         if self.funding_max_iters < 1:
             raise ConfigError("funding_max_iters must be >= 1")
         if self.rannacher_steps < 0:

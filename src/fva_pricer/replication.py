@@ -26,15 +26,13 @@ import numpy as np
 from . import analytic
 from .errors import ConfigError, HaircutNotZero, OracleUnavailable
 from .funding import financing_arrays
-from .market import FundingConfig, OptionLeg, Portfolio, Side
+from .market import FundingConfig, OptionLeg, Portfolio, Side, _require_positive
 from .pde import MAX_TIME_STEPS, PdeGrid, SolverParams, solve_surface
 
 
 def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int = 1) -> None:
     """Reject a non-finite or non-positive spot or expiry, or fewer than one step or path."""
-    for name, value in (("spot", spot), ("expiry", expiry)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{name}={value} must be finite and > 0", field=name)
+    _require_positive(spot=spot, expiry=expiry)
     for name, value in (("steps", n_steps), ("paths", n_paths)):
         if value < 1:
             raise ConfigError(f"{name}={value} must be >= 1", field=name)
@@ -169,7 +167,7 @@ def make_oracle(option: OptionLeg, spot: float, expiry: float, side: Side,
 def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
                    config: FundingConfig, n_paths: int, n_steps: int,
                    mu: float, seed: int, oracle: PricingOracle | None = None,
-                   trace_path: int | None = None) -> HedgeSummary:
+                   trace_path: int | None = None, pde_nodes: int = 1000) -> HedgeSummary:
     """Simulate the hedged, self-financed economy and summarize pi_T.
 
     Stock paths are exact lognormal steps with real-world drift `mu`; the
@@ -184,6 +182,9 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     Randomness comes from a counter-based generator: a fixed seed yields
     identical paths on every run.
 
+    Without an `oracle`, `make_oracle` picks one; a PDE surface gets
+    `pde_nodes` nodes.
+
     Raises:
         ConfigError: a non-finite or non-positive spot or expiry, n_steps or
             n_paths below 1, a non-finite mu, a negative seed, or inputs
@@ -197,7 +198,7 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     if side is Side.RISK_FREE:
         config = config.degenerate()
     if oracle is None:
-        oracle = make_oracle(option, spot, expiry, side, config, n_steps)
+        oracle = make_oracle(option, spot, expiry, side, config, n_steps, pde_nodes)
     r, r_b, q = config.r, config.r_b, config.q
     dt = expiry / n_steps
     rng = np.random.Generator(np.random.Philox(seed))

@@ -197,6 +197,8 @@ def test_single_option_prices_like_its_one_leg_book(tmp_path, style, side):
     ["netting", "--strategy", "bull", "--vol", "1e300"],
     ["fva-curve", "--engine", "pde", "--expiry", "1e300"],
     ["spread-demo", "--repo-spread", "1e300"],
+    ["price", "--kind", "put", "--spot", "1e300", "--nodes", "200"],
+    ["table1", "--spot", "1e300", "--nodes", "200"],
 ])
 def test_extreme_pde_inputs_exit_2_without_traceback(args):
     result = invoke(args)
@@ -240,3 +242,47 @@ def test_fva_curve_reference_is_checked_before_any_bid_error():
     assert result.exit_code == 2, result.output
     assert result.stderr == ("error: risk-free price 0.0 is not > 0; the adjustment is a "
                              "percentage of it\n")
+
+
+@pytest.mark.parametrize("engine", ["pde", "analytic"])
+def test_fva_curve_rejects_a_reference_below_the_solver_tolerance(engine):
+    # a deep out-of-the-money put: the reference is ~1e-140 (pde) or ~1e-276
+    # (analytic), and an adjustment in percent of it is noise
+    result = invoke(["fva-curve", "--engine", engine, "--kind", "put", "--strike", "10",
+                     "--vol", "0.05", "--nodes", "200", "--dt", "0.05",
+                     "--spread-step", "0.01"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert re.fullmatch(r"error: risk-free price \S+ is at or below the solver tolerance "
+                        r"1e-09 \(1e-10 \* strike\); the adjustment is a percentage of it\n",
+                        result.stderr), result.stderr
+
+
+HAIRCUT_ASK = ["simulate", "--kind", "put", "--side", "ask", "--borrow-spread", "0.03",
+               "--repo-spread", "0.005", "--repo-haircut", "0.25", "--seed", "1",
+               "--paths", "200", "--steps", "50"]
+
+
+def test_simulate_nodes_reach_the_auto_oracles_pde_surface():
+    # an ask with haircuts has no closed form, so auto hedges on the PDE surface
+    auto = invoke([*HAIRCUT_ASK, "--nodes", "200"])
+    pde = invoke([*HAIRCUT_ASK, "--oracle", "pde", "--nodes", "200"])
+    default = invoke(HAIRCUT_ASK)
+    assert auto.exit_code == pde.exit_code == default.exit_code == 0
+    assert auto.stdout_bytes == pde.stdout_bytes
+    assert auto.stdout_bytes != default.stdout_bytes
+
+
+@pytest.mark.parametrize("args", [["--format", "json"], ["--dt", "0.02"]])
+def test_simulate_has_no_format_or_dt_flag(args):
+    result = invoke(["simulate", "--kind", "put", "--seed", "1", *args])
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
+
+
+def test_simulate_config_file_has_no_format_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    result = invoke(["simulate", "--kind", "put", "--seed", "1", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert result.stderr == "error: --config: ConfigError, unknown key 'format'\n"

@@ -5,6 +5,8 @@ change that alters any of these bytes on purpose must say why and re-record
 them with ``PYTHONPATH=src python tests/test_readme_golden.py``.
 """
 
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from fva_pricer.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "readme_golden"
 BULL = str(GOLDEN / "bull.json")
+README = Path(__file__).parent.parent / "README.md"
 FUNDED = ["--borrow-spread", "0.03", "--repo-spread", "0.005",
           "--rebate-spread", "-0.005", "--repo-haircut", "0.25",
           "--sec-haircut", "0.15"]
@@ -63,6 +66,13 @@ CASES = {
     "price_american_call_dividend": [
         "price", "--kind", "call", "--style", "american", "--dividend-yield", "0.03",
         *FUNDED, "--nodes", "200", "--dt", "0.05", "--format", "json"],
+    # the JSON reports of the tabular commands, and a quote read from a
+    # --config file with one flag overriding it
+    "fva_curve_json": ["fva-curve", "--format", "json"],
+    "table1_json": ["table1", "--format", "json"],
+    "spread_demo_json": ["spread-demo", "--format", "json"],
+    "price_config_file": [
+        "price", "--config", str(GOLDEN / "funded_put.cfg"), "--vol", "0.4"],
 }
 
 
@@ -75,6 +85,21 @@ def run(args: list[str]) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name):
     assert run(CASES[name]) == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every `fva-pricer` command in README.md's bash blocks."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [[BULL if tok == "bull.json" else tok for tok in shlex.split(line)[1:]]
+            for line in lines if line.startswith("fva-pricer ")]
+
+
+def test_every_readme_command_is_a_golden_case():
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv in CASES.values(), argv
 
 
 if __name__ == "__main__":
