@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -129,6 +130,9 @@ class PdeGrid:
         if not top * top < math.inf:  # the operator divides s**2 by ds**2
             raise ConfigError(f"spot={spot} puts the top grid node at {top:.6g}, whose "
                               "square overflows", field="spot")
+        if not ds * ds >= sys.float_info.min:  # a subnormal ds**2 loses digits, 0 gives 0/0
+            raise ConfigError(f"spot={spot} gives a grid spacing of {ds:.6g}, whose "
+                              "square underflows", field="spot")
         nodes = np.arange(n_nodes, dtype=float) * ds
         n_steps = max(1, int(math.ceil(steps - 1e-12)))
         return cls(s_nodes=nodes, dt=expiry / n_steps, n_steps=n_steps, spot_index=m)

@@ -71,7 +71,7 @@ class HedgeSummary:
     seed: int
     std_error: float
     mean_abs: float
-    ledger_gap: float
+    ledger_gap: float | None
     trace: tuple[LedgerState, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -116,7 +116,16 @@ class PdeOracle:
 
     The surface is solved once with one PDE step per hedge rebalance, so
     simulation times align exactly with stored slices; values and slopes
-    are interpolated linearly in the stock dimension.
+    are interpolated linearly in the stock dimension, bit for bit as
+    `np.interp` does it.  The grid is uniform from 0, so each spot's cell
+    comes from floor(s / ds) with a one-node fix-up, shared by value and
+    slope, and is evaluated with numpy's expression
+    (f[j+1] - f[j]) / (x[j+1] - x[j]) * (s - x[j]) + f[j].  numpy's other
+    rules hold too: a spot on a node gets that node's value, a spot below 0
+    the first node's, one at or above the top node the last node's, and a
+    NaN spot NaN.  The stored surface is finite (the solver rejects
+    anything else), so numpy's retry for a NaN from that expression never
+    applies.
     """
 
     def __init__(self, option: OptionLeg, spot: float, expiry: float, side: Side,
@@ -133,11 +142,8 @@ class PdeOracle:
                              n_nodes=n_nodes, dt=expiry / n_steps)
         self.grid = grid
         self.taus, self.profiles = solve_surface(portfolio, side, config, grid, params)
-        self.slopes = np.empty_like(self.profiles)
-        ds = grid.ds
-        self.slopes[:, 1:-1] = (self.profiles[:, 2:] - self.profiles[:, :-2]) / (2 * ds)
-        self.slopes[:, 0] = (self.profiles[:, 1] - self.profiles[:, 0]) / ds
-        self.slopes[:, -1] = (self.profiles[:, -1] - self.profiles[:, -2]) / ds
+        self.slopes = np.gradient(self.profiles, grid.ds, axis=1)
+        self._bounds = np.append(grid.s_nodes, np.inf)  # the fix-up reads one past the top
 
     def value_and_slope(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
         dt = self.grid.dt
@@ -145,10 +151,21 @@ class PdeOracle:
         if abs(tau - k * dt) > 1e-9 * max(dt, 1.0) or not 0 <= k < len(self.taus):
             raise OracleUnavailable(
                 f"requested life {tau} does not align with the stored surface")
-        s = np.asarray(s, dtype=float)
         nodes = self.grid.s_nodes
-        return (np.interp(s, nodes, self.profiles[k]),
-                np.interp(s, nodes, self.slopes[k]))
+        x = np.minimum(np.maximum(s, 0.0), nodes[-1])  # NaN stays NaN
+        j = np.fmin(x / self.grid.ds, nodes.size - 1).astype(np.intp)  # NaN -> top
+        j -= self._bounds[j] > x
+        j += self._bounds[j + 1] <= x
+        t = x - nodes[j]
+        hit = t == 0.0  # a node's stored value, even -0.0, not the expression's
+        out = []
+        for f in (self.profiles[k], self.slopes[k]):
+            # np.interp's cell slopes divide by node differences, not ds; j is the top
+            # node only on a hit, so clipping it to the last cell changes nothing
+            cell = np.diff(f) / np.diff(nodes)
+            fj = f[j]
+            out.append(np.where(hit, fj, cell.take(j, mode="clip") * t + fj))
+        return out[0], out[1]
 
 
 def make_oracle(option: OptionLeg, spot: float, expiry: float, side: Side,
@@ -167,17 +184,21 @@ def make_oracle(option: OptionLeg, spot: float, expiry: float, side: Side,
 def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
                    config: FundingConfig, n_paths: int, n_steps: int,
                    mu: float, seed: int, oracle: PricingOracle | None = None,
-                   trace_path: int | None = None, pde_nodes: int = 1000) -> HedgeSummary:
+                   trace_path: int | None = None, pde_nodes: int = 1000,
+                   check_ledger: bool = False) -> HedgeSummary:
     """Simulate the hedged, self-financed economy and summarize pi_T.
 
     Stock paths are exact lognormal steps with real-world drift `mu`; the
     hedge holds -dU/dS shares per the oracle, rebalanced each step at the
     post-move price.  Interest accrues on the balances carried into each
     interval and the dividend q * holding * S * dt flows into the cash
-    routing.  Returns discounted terminal wealth statistics plus the
-    largest gap between the wealth recomputed from balances and the wealth
-    accumulated through the financing identity (exact bookkeeping, so the
-    gap is float noise).
+    routing.  Returns discounted terminal wealth statistics.
+
+    With `check_ledger`, the wealth is also accumulated through the
+    financing identity, and `ledger_gap` is the largest gap between it and
+    the wealth recomputed from balances (exact bookkeeping, so the gap is
+    float noise).  Without it the identity is not computed, `ledger_gap` is
+    None, and every other field is bit for bit the same.
 
     Randomness comes from a counter-based generator: a fixed seed yields
     identical paths on every run.
@@ -223,10 +244,10 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     net = -value - h_cut * hold * s
     m_acct = np.maximum(net, 0.0)
     n_acct = np.maximum(-net, 0.0)
-    pi = m_acct + hold * s + value - repo - n_acct
-    pi_acc = pi.copy()
-    ledger_gap = 0.0
     states: list[LedgerState] = []
+
+    def wealth() -> np.ndarray:
+        return m_acct + hold * s + value - repo - n_acct
 
     def snap(t: float) -> None:
         if trace_path is None:
@@ -236,8 +257,10 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
             t=t, spot=float(s[j]), stock_holding=float(hold[j]), M=float(m_acct[j]),
             N=float(n_acct[j]), R=float(repo[j]),
             option_value=float(side.position_sign * value[j]),
-            pi=float(pi[j])))
+            pi=float(wealth()[j])))
 
+    pi_acc = wealth()
+    ledger_gap = 0.0 if check_ledger else None
     snap(0.0)
     for k in range(n_steps):
         tau_next = expiry - (k + 1) * dt
@@ -257,18 +280,18 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
         cash += -(hold_new - hold) * s_new + (repo_new - repo)
         m_new = np.maximum(cash, 0.0)
         n_new = np.maximum(-cash, 0.0)
-        # financing identity: exact bookkeeping of the same cash flows
-        pi_acc = (pi_acc * (1.0 + g_r)
-                  + hold * (s_new - s - g_r * s + q * s * dt)
-                  + (value_new - value - g_r * value)
-                  - (g_rb - g_r) * n_acct - (g_rp - g_r) * repo)
+        if check_ledger:  # financing identity: exact bookkeeping of the same cash flows
+            pi_acc = (pi_acc * (1.0 + g_r)
+                      + hold * (s_new - s - g_r * s + q * s * dt)
+                      + (value_new - value - g_r * value)
+                      - (g_rb - g_r) * n_acct - (g_rp - g_r) * repo)
         s, hold, repo, value = s_new, hold_new, repo_new, value_new
         m_acct, n_acct, rp = m_new, n_new, rp_new
-        pi = m_acct + hold * s + value - repo - n_acct
-        ledger_gap = max(ledger_gap, float(np.max(np.abs(pi - pi_acc))))
+        if check_ledger:
+            ledger_gap = max(ledger_gap, float(np.max(np.abs(wealth() - pi_acc))))
         snap((k + 1) * dt)
 
-    disc_pi = df * pi
+    disc_pi = df * wealth()
     std = float(np.std(disc_pi, ddof=1)) if n_paths > 1 else 0.0
     summary = HedgeSummary(
         mean=float(np.mean(disc_pi)),

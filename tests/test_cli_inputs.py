@@ -3,6 +3,7 @@
 import json
 import re
 import time
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -199,13 +200,22 @@ def test_single_option_prices_like_its_one_leg_book(tmp_path, style, side):
     ["spread-demo", "--repo-spread", "1e300"],
     ["price", "--kind", "put", "--spot", "1e300", "--nodes", "200"],
     ["table1", "--spot", "1e300", "--nodes", "200"],
+    ["price", "--kind", "put", "--engine", "pde", "--nodes", "200", "--dt", "0.05",
+     "--spot", "1e-160", "--strike", "1e-160"],
+    ["price", "--kind", "put", "--engine", "pde", "--nodes", "200", "--dt", "0.05",
+     "--spot", "1e-300", "--strike", "1e-300"],
 ])
 def test_extreme_pde_inputs_exit_2_without_traceback(args):
-    result = invoke(args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert result.stderr.startswith("error: ")
+    if "--spot" in args:
+        assert result.stderr.startswith("error: --spot: "), result.stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_singular_system_names_its_job_step_and_time():

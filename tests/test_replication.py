@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fva_pricer import (
     ConfigError,
@@ -83,7 +85,7 @@ class TestHedgeInputs:
 class TestLedgerBookkeeping:
     def test_financing_identity_is_exact(self, classic_config):
         s = simulate_hedge(PUT, SPOT, EXPIRY, Side.ASK, classic_config,
-                           n_paths=2_000, n_steps=100, mu=0.1, seed=3)
+                           n_paths=2_000, n_steps=100, mu=0.1, seed=3, check_ledger=True)
         assert s.ledger_gap < 1e-10 * STRIKE
 
     def test_identity_holds_with_funding_and_dividends(self):
@@ -91,8 +93,21 @@ class TestLedgerBookkeeping:
         oracle = PdeOracle(PUT, SPOT, EXPIRY, Side.ASK, cfg, n_steps=100,
                            n_nodes=400)
         s = simulate_hedge(PUT, SPOT, EXPIRY, Side.ASK, cfg, n_paths=1_000,
-                           n_steps=100, mu=0.1, seed=3, oracle=oracle)
+                           n_steps=100, mu=0.1, seed=3, oracle=oracle, check_ledger=True)
         assert s.ledger_gap < 1e-10 * STRIKE
+
+    @pytest.mark.parametrize("oracle", ["analytic", "pde"])
+    def test_ledger_switch_changes_nothing_else(self, oracle):
+        cfg = make_config(q=0.03, **FUNDED)
+        side = Side.BID if oracle == "analytic" else Side.ASK
+        kw = dict(n_paths=500, n_steps=40, mu=0.1, seed=5, trace_path=3,
+                  oracle=make_oracle(PUT, SPOT, EXPIRY, side, cfg, 40, pde_nodes=300))
+        off = simulate_hedge(PUT, SPOT, EXPIRY, side, cfg, **kw)
+        on = simulate_hedge(PUT, SPOT, EXPIRY, side, cfg, check_ledger=True, **kw)
+        assert off.ledger_gap is None and on.ledger_gap < 1e-10 * STRIKE
+        assert len(off.trace) == 41
+        fields = ("mean", "std", "max_abs", "std_error", "mean_abs", "trace")
+        assert np.array_equal(bits(off, fields), bits(on, fields))
 
     def test_trace_accounts_are_unidirectional(self, classic_config):
         s = simulate_hedge(PUT, SPOT, EXPIRY, Side.ASK, classic_config,
@@ -191,3 +206,58 @@ def test_analytic_oracle_is_the_closed_form(kind, side, family):
             sign = side.position_sign
             assert float(value) == pytest.approx(sign * quote.price, rel=1e-12)
             assert float(slope) == pytest.approx(sign * quote.delta, rel=1e-12)
+
+
+def bits(summary, fields):
+    """The int64 bit patterns of a summary's float fields and trace states, in order."""
+    values = []
+    for name in fields:
+        value = getattr(summary, name)
+        if name == "trace":
+            values += [x for state in value for x in dataclasses.astuple(state)]
+        else:
+            values.append(value)
+    return np.array(values, dtype=float).view(np.int64)
+
+
+@functools.cache
+def lookup_oracle(kind: str, side: Side) -> PdeOracle:
+    # the ask surfaces hold -0.0 values, which a node hit must return as stored
+    return PdeOracle(OptionLeg(kind, STRIKE), SPOT, EXPIRY, side, make_config(**FUNDED),
+                     n_steps=20, n_nodes=300)
+
+
+@st.composite
+def lookup_spots(draw, nodes: np.ndarray) -> np.ndarray:
+    """A run of nodes, the spots one ulp either side of them or inside their cells, or
+    spots off the grid."""
+    where = draw(st.sampled_from(["node", "ulp_below", "ulp_above", "cell", "top", "bottom",
+                                  "special"]))
+    i = draw(st.integers(0, nodes.size - 1))
+    run = nodes[i:i + draw(st.integers(1, 64))]
+    if where == "node":
+        return run
+    if where in ("ulp_below", "ulp_above"):
+        return np.nextafter(run, -np.inf if where == "ulp_below" else np.inf)
+    if where == "cell":
+        return run + draw(st.floats(0, 1)) * (nodes[1] - nodes[0])
+    off_grid = {"top": st.floats(min_value=nodes[-1], allow_infinity=False),
+                "bottom": st.floats(max_value=0.0, allow_infinity=False),
+                "special": st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0])}[where]
+    return np.array(draw(st.lists(off_grid, min_size=1, max_size=4)))
+
+
+@given(data=st.data(), kind=st.sampled_from(["put", "call"]),
+       side=st.sampled_from([Side.BID, Side.ASK]))
+@settings(max_examples=200, deadline=None)
+def test_pde_lookup_is_np_interp_bit_for_bit(data, kind, side):
+    oracle = lookup_oracle(kind, side)
+    nodes = oracle.grid.s_nodes
+    s = np.concatenate(data.draw(st.lists(lookup_spots(nodes), min_size=1, max_size=8)))
+    nan = np.isnan(s)
+    for k in range(len(oracle.taus)):  # every stored slice, the first and the last too
+        value, slope = oracle.value_and_slope(s, k * oracle.grid.dt)
+        for got, surface in ((value, oracle.profiles[k]), (slope, oracle.slopes[k])):
+            want = np.interp(s, nodes, surface)
+            assert np.isnan(got[nan]).all()
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
