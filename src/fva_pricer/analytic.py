@@ -83,8 +83,11 @@ def lognormal_rates(kind: OptionKind, side: Side, config: FundingConfig
 
 
 def lognormal(kind: OptionKind, spot: float | np.ndarray, strike: float, tau: float,
-              growth: float, discount: float, sigma: float):
+              growth: float, discount: float, sigma: float, value: bool = True):
     """(value, slope, d1) over life `tau` for a scalar or array `spot`.
+
+    With `value=False` the value is not evaluated and comes back as None;
+    the slope and d1 are bit for bit the same.
 
     Raises:
         ConfigError: exp(growth*tau), exp(-discount*tau) or sigma**2 is out
@@ -102,16 +105,15 @@ def lognormal(kind: OptionKind, spot: float | np.ndarray, strike: float, tau: fl
     sq = sigma * math.sqrt(tau)
     fwd = spot * fs
     d1 = (np.log(fwd / strike) + half_var * tau) / sq
-    d2 = d1 - sq
     if kind == "call":
         n1 = norm_cdf(d1)
-        value = df * (fwd * n1 - strike * norm_cdf(d2))
         slope = df * fs * n1
+        price = df * (fwd * n1 - strike * norm_cdf(d1 - sq)) if value else None
     else:
         n1 = norm_cdf(-d1)
-        value = df * (strike * norm_cdf(-d2) - fwd * n1)
         slope = -df * fs * n1
-    return value, slope, d1
+        price = df * (strike * norm_cdf(-(d1 - sq)) - fwd * n1) if value else None
+    return price, slope, d1
 
 
 @np.errstate(all="ignore")  # a non-finite result is rejected below

@@ -99,12 +99,18 @@ class PdeGrid:
 
     @classmethod
     def build(cls, spot: float, max_strike: float, sigma: float, expiry: float,
-              n_nodes: int = 2000, dt: float = 0.02) -> "PdeGrid":
+              n_nodes: int = 2000, dt: float = 0.02,
+              min_strike: float | None = None) -> "PdeGrid":
         """Build a grid covering [0, s_max] with the spot snapped to a node.
 
         s_max is at least max(4 * max_strike, spot * exp(4 * sigma * sqrt(T)))
         so the zero-gamma boundary sits far outside the payoff's curvature.
         At most MAX_TIME_STEPS steps of about dt cover the expiry.
+
+        Raises:
+            GridTooCoarse: the spot is not interior, or the smallest strike
+                (`min_strike`, default `max_strike`) lies inside the first
+                cell, where the grid cannot resolve its payoff kink.
         """
         _require_positive(spot=spot, expiry=expiry, dt=dt)
         if not (max_strike > 0 and sigma > 0):
@@ -133,6 +139,15 @@ class PdeGrid:
         if not ds * ds >= sys.float_info.min:  # a subnormal ds**2 loses digits, 0 gives 0/0
             raise ConfigError(f"spot={spot} gives a grid spacing of {ds:.6g}, whose "
                               "square underflows", field="spot")
+        strike = max_strike if min_strike is None else min_strike
+        if strike < ds:
+            try:  # the spot node floor(spot * (n - 1) / s_target) must reach spot / strike
+                need = f"{math.ceil(math.ceil(spot / strike) * s_target / spot) + 1:.6g}"
+            except OverflowError:
+                need = "more than a float can count"
+            raise GridTooCoarse(
+                f"strike {strike:.6g} lies inside the first grid cell [0, {ds:.6g}); "
+                f"resolving it takes about {need} nodes", field="nodes")
         nodes = np.arange(n_nodes, dtype=float) * ds
         n_steps = max(1, int(math.ceil(steps - 1e-12)))
         return cls(s_nodes=nodes, dt=expiry / n_steps, n_steps=n_steps, spot_index=m)
@@ -140,8 +155,9 @@ class PdeGrid:
     @classmethod
     def for_portfolio(cls, spot: float, portfolio: Portfolio, config: FundingConfig,
                       n_nodes: int = 2000, dt: float = 0.02) -> "PdeGrid":
-        return cls.build(spot, portfolio.max_strike, config.sigma,
-                         portfolio.expiry, n_nodes=n_nodes, dt=dt)
+        return cls.build(spot, portfolio.max_strike, config.sigma, portfolio.expiry,
+                         n_nodes=n_nodes, dt=dt,
+                         min_strike=min(leg.strike for leg in portfolio.legs))
 
 
 @dataclass(frozen=True)

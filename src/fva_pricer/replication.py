@@ -39,9 +39,15 @@ def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int =
 
 
 class PricingOracle(Protocol):
-    """Signed position value and slope for any spot array and residual life > 0."""
+    """Signed position value and slope for any spot array and residual life > 0.
 
-    def value_and_slope(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    With `value=False` only the slope is evaluated and the value comes back
+    as None; the slope is bit for bit the one of the full call.  The hedge
+    loop asks for values only where a trace or the ledger check reads them.
+    """
+
+    def value_and_slope(self, s: np.ndarray, tau: float, value: bool = True
+                        ) -> tuple[np.ndarray | None, np.ndarray]:
         ...
 
 
@@ -102,13 +108,14 @@ class AnalyticOracle:
         self.sign = side.position_sign
         self.sigma = config.sigma
 
-    def value_and_slope(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(self, s: np.ndarray, tau: float, value: bool = True
+                        ) -> tuple[np.ndarray | None, np.ndarray]:
         if not tau > 0.0:
             raise OracleUnavailable(f"residual life {tau} must be > 0")
-        value, slope, _ = analytic.lognormal(self.kind, np.asarray(s, dtype=float),
+        price, slope, _ = analytic.lognormal(self.kind, np.asarray(s, dtype=float),
                                              self.strike, tau, self.growth, self.disc,
-                                             self.sigma)
-        return self.sign * value, self.sign * slope
+                                             self.sigma, value=value)
+        return (self.sign * price if value else None), self.sign * slope
 
 
 class PdeOracle:
@@ -145,7 +152,8 @@ class PdeOracle:
         self.slopes = np.gradient(self.profiles, grid.ds, axis=1)
         self._bounds = np.append(grid.s_nodes, np.inf)  # the fix-up reads one past the top
 
-    def value_and_slope(self, s: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_slope(self, s: np.ndarray, tau: float, value: bool = True
+                        ) -> tuple[np.ndarray | None, np.ndarray]:
         dt = self.grid.dt
         k = int(round(tau / dt))
         if abs(tau - k * dt) > 1e-9 * max(dt, 1.0) or not 0 <= k < len(self.taus):
@@ -158,14 +166,15 @@ class PdeOracle:
         j += self._bounds[j + 1] <= x
         t = x - nodes[j]
         hit = t == 0.0  # a node's stored value, even -0.0, not the expression's
-        out = []
-        for f in (self.profiles[k], self.slopes[k]):
+
+        def interp(f: np.ndarray) -> np.ndarray:
             # np.interp's cell slopes divide by node differences, not ds; j is the top
             # node only on a hit, so clipping it to the last cell changes nothing
             cell = np.diff(f) / np.diff(nodes)
             fj = f[j]
-            out.append(np.where(hit, fj, cell.take(j, mode="clip") * t + fj))
-        return out[0], out[1]
+            return np.where(hit, fj, cell.take(j, mode="clip") * t + fj)
+
+        return (interp(self.profiles[k]) if value else None), interp(self.slopes[k])
 
 
 def make_oracle(option: OptionLeg, spot: float, expiry: float, side: Side,
@@ -200,8 +209,15 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     float noise).  Without it the identity is not computed, `ledger_gap` is
     None, and every other field is bit for bit the same.
 
+    The oracle's value is read at t=0 and the payoff at expiry; in between
+    it is evaluated only when `trace_path` or `check_ledger` reads it, and
+    otherwise the oracle returns the slope alone.  Either way the summary
+    statistics are bit for bit the same.
+
     Randomness comes from a counter-based generator: a fixed seed yields
-    identical paths on every run.
+    identical paths on every run.  Each step draws its normals into one
+    reused buffer, which gives the stream of one (n_steps, n_paths) draw
+    with memory independent of n_steps.
 
     Without an `oracle`, `make_oracle` picks one; a PDE surface gets
     `pde_nodes` nodes.
@@ -223,7 +239,7 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     r, r_b, q = config.r, config.r_b, config.q
     dt = expiry / n_steps
     rng = np.random.Generator(np.random.Philox(seed))
-    z = rng.standard_normal((n_steps, n_paths))
+    z = np.empty(n_paths)  # one step's normals; the stream is that of one (steps, paths) draw
     volstep = config.sigma * math.sqrt(dt)
     try:
         drift = (mu - 0.5 * config.sigma ** 2) * dt
@@ -236,12 +252,20 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
         raise ConfigError(f"hedge accrual out of range: r={r}, r_b={r_b}, "
                           f"sigma={config.sigma} over {expiry} years") from None
 
+    # financing terms by holding sign, indexed by hold >= 0: the haircut h, the
+    # repo'd share 1 - h and the secured accrual factor over one interval
+    h_by_sign, rp_by_sign = financing_arrays(np.array([-1.0, 1.0]), config)
+    keep_by_sign = 1.0 - h_by_sign
+    g_rp_by_sign = np.expm1(rp_by_sign * dt)
+    # between t=0 and expiry only a trace or the ledger check reads the value
+    read_value = check_ledger or trace_path is not None
+
     s = np.full(n_paths, float(spot))
     value, slope = oracle.value_and_slope(s, expiry)
     hold = -slope
-    h_cut, rp = financing_arrays(hold, config)
-    repo = (1.0 - h_cut) * hold * s
-    net = -value - h_cut * hold * s
+    long = hold >= 0.0
+    repo = keep_by_sign.take(long) * hold * s
+    net = -value - h_by_sign.take(long) * hold * s
     m_acct = np.maximum(net, 0.0)
     n_acct = np.maximum(-net, 0.0)
     states: list[LedgerState] = []
@@ -264,19 +288,20 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     snap(0.0)
     for k in range(n_steps):
         tau_next = expiry - (k + 1) * dt
-        s_new = s * np.exp(drift + volstep * z[k])
-        g_rp = np.expm1(rp * dt)
+        rng.standard_normal(out=z)
+        s_new = s * np.exp(drift + volstep * z)
+        g_rp = g_rp_by_sign.take(long)
         cash = (m_acct * (1.0 + g_r) - n_acct * (1.0 + g_rb)
                 + q * hold * s * dt - g_rp * repo)
         if k + 1 < n_steps:
-            value_new, slope_new = oracle.value_and_slope(s_new, tau_next)
+            value_new, slope_new = oracle.value_and_slope(s_new, tau_next, value=read_value)
             hold_new = -slope_new
         else:
             value_new = side.position_sign * np.asarray(
                 option.intrinsic(s_new), dtype=float)
             hold_new = np.zeros_like(hold)
-        h_new, rp_new = financing_arrays(hold_new, config)
-        repo_new = (1.0 - h_new) * hold_new * s_new
+        long = hold_new >= 0.0
+        repo_new = keep_by_sign.take(long) * hold_new * s_new
         cash += -(hold_new - hold) * s_new + (repo_new - repo)
         m_new = np.maximum(cash, 0.0)
         n_new = np.maximum(-cash, 0.0)
@@ -286,7 +311,7 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
                       + (value_new - value - g_r * value)
                       - (g_rb - g_r) * n_acct - (g_rp - g_r) * repo)
         s, hold, repo, value = s_new, hold_new, repo_new, value_new
-        m_acct, n_acct, rp = m_new, n_new, rp_new
+        m_acct, n_acct = m_new, n_new
         if check_ledger:
             ledger_gap = max(ledger_gap, float(np.max(np.abs(wealth() - pi_acc))))
         snap((k + 1) * dt)

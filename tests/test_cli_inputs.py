@@ -218,6 +218,20 @@ def test_extreme_pde_inputs_exit_2_without_traceback(args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("args", [
+    ["price", "--kind", "put", "--spot", "1e150"],
+    ["price", "--kind", "call", "--strike", "1e-300", "--borrow-spread", "0.03"],
+    ["fva-curve", "--engine", "pde", "--kind", "call", "--strike", "1e-300",
+     "--spread-max", "0.02", "--spread-step", "0.01"],
+])
+def test_strike_inside_the_first_cell_exits_2_naming_nodes(args):
+    result = invoke([*args, "--nodes", "200", "--dt", "0.05"])
+    assert result.exit_code == 2, result.output
+    assert re.fullmatch(r"error: --nodes: GridTooCoarse, strike \S+ lies inside the first "
+                        r"grid cell \[0, \S+\); resolving it takes about \S+ nodes\n",
+                        result.stderr), result.stderr
+
+
 def test_singular_system_names_its_job_step_and_time():
     result = invoke(["spread-demo", "--repo-spread", "1e300"])
     assert re.fullmatch(r"error: job \d+ \((bid|ask): [^)]*\): the tridiagonal system is "

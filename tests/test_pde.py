@@ -53,6 +53,26 @@ class TestGrid:
         with pytest.raises(GridTooCoarse):
             PdeGrid.build(100, 100, 0.5, 2.0, n_nodes=20, dt=0.02)
 
+    @pytest.mark.parametrize("spot,strike", [(100.0, 1.0), (1e150, 100.0), (100.0, 1e-300)])
+    def test_strike_inside_the_first_cell_rejected(self, spot, strike):
+        """A strike below ds has its payoff kink inside [0, ds): the grid would price
+        0.00784 for a put that is worth 0 at spot 1e150."""
+        with pytest.raises(GridTooCoarse) as info:
+            PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=200, dt=0.05)
+        assert info.value.field == "nodes"
+        match = re.search(r"about (\S+) nodes", str(info.value))
+        if spot == 100.0 and strike == 1.0:  # the node count it names is the least that works
+            need = int(match.group(1))
+            assert PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=need, dt=0.05).ds <= strike
+            with pytest.raises(GridTooCoarse):
+                PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=need - 1, dt=0.05)
+
+    def test_book_grid_resolves_its_smallest_strike(self):
+        book = Portfolio(legs=(OptionLeg("put", 1.0), OptionLeg("call", 100.0)), expiry=EXPIRY)
+        with pytest.raises(GridTooCoarse):
+            PdeGrid.for_portfolio(SPOT, book, make_config(), n_nodes=200, dt=0.05)
+        assert PdeGrid.for_portfolio(SPOT, book, make_config(), n_nodes=2000, dt=0.05).ds <= 1.0
+
     @pytest.mark.parametrize("field,kw", [
         ("spot", dict(spot=float("inf"))),
         ("spot", dict(spot=-1.0)),

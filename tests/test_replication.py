@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,48 @@ class TestLedgerBookkeeping:
         assert len(off.trace) == 41
         fields = ("mean", "std", "max_abs", "std_error", "mean_abs", "trace")
         assert np.array_equal(bits(off, fields), bits(on, fields))
+
+    @pytest.mark.parametrize("kind", ["put", "call"])
+    @pytest.mark.parametrize("oracle,side", [("analytic", Side.BID),
+                                             ("analytic", Side.RISK_FREE),
+                                             ("pde", Side.ASK)])
+    def test_values_are_read_only_for_a_trace_or_the_ledger(self, kind, oracle, side):
+        """Without a trace or the ledger check the loop asks for slopes alone, and the
+        summary is bit for bit the one of a run that reads every value."""
+        cfg = make_config(q=0.03, **FUNDED)
+        option = OptionLeg(kind, STRIKE)
+        wrapped = make_oracle(option, SPOT, EXPIRY, side, cfg, 40, pde_nodes=300)
+        assert isinstance(wrapped, AnalyticOracle if oracle == "analytic" else PdeOracle)
+        asked = []
+
+        class Spy:
+            def value_and_slope(self, s, tau, value=True):
+                asked.append(value)
+                return wrapped.value_and_slope(s, tau, value=value)
+
+        kw = dict(n_paths=500, n_steps=40, mu=0.1, seed=5, oracle=Spy())
+        slopes_only = simulate_hedge(option, SPOT, EXPIRY, side, cfg, **kw)
+        assert asked == [True] + [False] * 39  # t=0 values fund the accounts
+        asked.clear()
+        full = simulate_hedge(option, SPOT, EXPIRY, side, cfg, trace_path=3,
+                              check_ledger=True, **kw)
+        assert asked == [True] * 40
+        fields = ("mean", "std", "max_abs", "std_error", "mean_abs")
+        assert np.array_equal(bits(slopes_only, fields), bits(full, fields))
+
+    def test_path_draws_do_not_grow_with_the_step_count(self, funded_config):
+        """Normals are drawn step by step into one buffer, not as a steps x paths matrix
+        (20 MiB here)."""
+        args = (PUT, SPOT, EXPIRY, Side.BID, funded_config)
+        kw = dict(n_paths=10_000, n_steps=250, mu=0.1, seed=11)
+        simulate_hedge(*args, **kw)  # first-call allocations are not the loop's
+        tracemalloc.start()
+        try:
+            simulate_hedge(*args, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
 
     def test_trace_accounts_are_unidirectional(self, classic_config):
         s = simulate_hedge(PUT, SPOT, EXPIRY, Side.ASK, classic_config,
@@ -257,7 +300,28 @@ def test_pde_lookup_is_np_interp_bit_for_bit(data, kind, side):
     nan = np.isnan(s)
     for k in range(len(oracle.taus)):  # every stored slice, the first and the last too
         value, slope = oracle.value_and_slope(s, k * oracle.grid.dt)
-        for got, surface in ((value, oracle.profiles[k]), (slope, oracle.slopes[k])):
+        no_value, slope_only = oracle.value_and_slope(s, k * oracle.grid.dt, value=False)
+        assert no_value is None
+        for got, surface in ((value, oracle.profiles[k]), (slope, oracle.slopes[k]),
+                             (slope_only, oracle.slopes[k])):
             want = np.interp(s, nodes, surface)
             assert np.isnan(got[nan]).all()
             assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@given(kind=st.sampled_from(["put", "call"]),
+       side=st.sampled_from([Side.BID, Side.RISK_FREE, Side.ASK]),
+       family=st.sampled_from(["classic", "zero_haircut", "haircuts"]),
+       s=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=16).map(np.array),
+       tau=st.floats(1e-6, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_analytic_slope_only_is_the_full_slope_bit_for_bit(kind, side, family, s, tau):
+    try:
+        oracle = AnalyticOracle(OptionLeg(kind, STRIKE), side, CONFIG_FAMILIES[family])
+    except OracleUnavailable:
+        return
+    with np.errstate(all="ignore"):  # a spot of 0 takes the log of 0
+        value, slope = oracle.value_and_slope(s, tau)
+        no_value, slope_only = oracle.value_and_slope(s, tau, value=False)
+    assert no_value is None and value.shape == slope_only.shape
+    assert np.array_equal(slope_only.view(np.int64), slope.view(np.int64))
