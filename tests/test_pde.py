@@ -61,6 +61,7 @@ class TestGrid:
             PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=200, dt=0.05)
         assert info.value.field == "nodes"
         match = re.search(r"about (\S+) nodes", str(info.value))
+        assert match, info.value
         if spot == 100.0 and strike == 1.0:  # the node count it names is the least that works
             need = int(match.group(1))
             assert PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=need, dt=0.05).ds <= strike
