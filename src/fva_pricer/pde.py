@@ -23,6 +23,10 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   coupling at every seam is zero, so each job's result is bit for bit its
   stand-alone solve.  `solve`, `solve_american` and `solve_surface` are
   one-job batches,
+* a European substep that starts on the region codes the last one ended on,
+  with the same members and step kind, reuses that substep's system: from
+  its second solve on through LU factors (LAPACK gttrf once, then gttrs),
+  which do gtsv's operations and so give its bits,
 * zero-gamma boundary conditions imposed by writing the convection-reaction
   equation at the half node nearest each boundary, which keeps the system
   tridiagonal,
@@ -45,7 +49,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded  # noqa: F401  the name the benchmark tracer wraps
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import ConfigError, GridTooCoarse, NoConvergence
 from .funding import financing_arrays, select_financing  # noqa: F401  financing_arrays: traced
@@ -202,48 +206,58 @@ class PricingResult:
     upwinded_nodes: int = 0
 
 
-def _region_tables(s: np.ndarray, ds: float, config: FundingConfig):
-    """Linearized operator of each funding region, one row per region.
+def _region_tables(s: np.ndarray, grids: list["PdeGrid"], configs: list[FundingConfig]):
+    """Linearized operator of each funding region, one row per region, for k
+    members laid end to end on the K = k * n nodes `s`.
 
     Row 2 * ind + long holds the region with debt indicator `ind` and a long
     (1) or short (0) stock holding.  With the indicator frozen the funding
     term is linear: it adds ind * spread * h to the stock drift coefficient
     and ind * spread to the discount rate, so each region carries its own
-    lognormal operator.
+    lognormal operator.  The member constants (sigma ** 2, ds ** 2, ...) are
+    Python floats, one per member, repeated over its rows.
 
-    Returns (lo, di, up, upwind, a_conv, rho): the (4, n) sub-, main and
-    super-diagonal after the cell-Peclet guard, where the guard made
-    convection one-sided, the convection coefficient, and the (4,)
-    discount rates.
+    Returns (lo, di, up, upwind, a_conv, rho): the (4, K) sub-, main and
+    super-diagonal after the cell-Peclet guard (0 on each member's two
+    boundary rows), where the guard made convection one-sided, the
+    convection coefficient, and the (k, 4) discount rates.
     """
-    spread = config.spread
-    n = s.size
-    lo = np.zeros((4, n))
-    di = np.zeros((4, n))
-    up = np.zeros((4, n))
-    upwind = np.zeros((4, n), dtype=bool)
-    a_conv = np.empty((4, n))
-    rho = np.empty(4)
-    i = np.arange(1, n - 1)
-    diff = 0.5 * config.sigma ** 2 * s[i] ** 2 / ds ** 2
-    for region in range(4):
-        ind, long_stock = divmod(region, 2)
-        sel = select_financing(1 if long_stock else -1, config)
-        a = a_conv[region] = (sel.r_s - config.q + float(ind) * spread * sel.h_signed) * s
-        r = rho[region] = config.r + float(ind) * spread
-        conv = a[i] / (2.0 * ds)
-        lo[region, i] = diff - conv
-        di[region, i] = -2.0 * diff - r
-        up[region, i] = diff + conv
-        # cell-Peclet guard: one-sided convection where central would oscillate
-        pe = np.abs(a[i]) * ds > config.sigma ** 2 * s[i] ** 2
-        if pe.any():
-            ii = i[pe]
-            pos = a[ii] > 0
-            lo[region, ii] = diff[pe] - np.where(pos, 0.0, a[ii] / ds)
-            di[region, ii] = -2.0 * diff[pe] - r - np.abs(a[ii]) / ds
-            up[region, ii] = diff[pe] + np.where(pos, a[ii] / ds, 0.0)
-            upwind[region, ii] = True
+    k, K = len(grids), s.size
+    coef = np.empty((4, k, 1))
+    rho = np.empty((k, 4))
+    for j, config in enumerate(configs):
+        for region in range(4):
+            ind, long_stock = divmod(region, 2)
+            sel = select_financing(1 if long_stock else -1, config)
+            coef[region, j] = sel.r_s - config.q + float(ind) * config.spread * sel.h_signed
+            rho[j, region] = config.r + float(ind) * config.spread
+
+    def column(values) -> np.ndarray:
+        return np.array(values, dtype=float)[:, None]
+
+    # (4, k, n) tables, member j's nodes along the last axis
+    s = s.reshape(k, -1)
+    a_conv = coef * s
+    a, s2 = a_conv[:, :, 1:-1], s[:, 1:-1] ** 2
+    ds = column([g.ds for g in grids])
+    diff = column([0.5 * c.sigma ** 2 for c in configs]) * s2 / column([g.ds ** 2 for g in grids])
+    r = rho.T[:, :, None]
+    conv = a / (2.0 * ds)
+    lo, di, up = (np.zeros(a_conv.shape) for _ in range(3))
+    inner = (slice(None), slice(None), slice(1, -1))
+    lo[inner] = diff - conv
+    di[inner] = -2.0 * diff - r
+    up[inner] = diff + conv
+    # cell-Peclet guard: one-sided convection where central would oscillate
+    upwind = np.zeros(a_conv.shape, dtype=bool)
+    pe = upwind[inner]
+    np.greater(np.abs(a) * ds, column([c.sigma ** 2 for c in configs]) * s2, out=pe)
+    if pe.any():
+        pos, step = a > 0, a / ds
+        np.copyto(lo[inner], diff - np.where(pos, 0.0, step), where=pe)
+        np.copyto(di[inner], -2.0 * diff - r - np.abs(a) / ds, where=pe)
+        np.copyto(up[inner], diff + np.where(pos, step, 0.0), where=pe)
+    lo, di, up, upwind, a_conv = (table.reshape(4, K) for table in (lo, di, up, upwind, a_conv))
     return lo, di, up, upwind, a_conv, rho
 
 
@@ -265,6 +279,38 @@ def _tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
         raise LinAlgError("singular matrix")
     if not np.isfinite(x).all():
         raise ValueError("tridiagonal solve produced non-finite values")
+    return x
+
+
+class _Kept:
+    """Gather indices of one iteration, kept for the next substep of the same rows
+    if the iteration ends on them, with what such substeps reuse: the region
+    coefficients `rhs` gathers (`coef`), the diagonals `system` builds for one
+    step kind (`A`), and A's LU factors (`lu`, made on A's second solve)."""
+
+    __slots__ = ("sel", "idx", "combo", "coef", "kind", "A", "lu")
+
+    def __init__(self, sel: slice, idx: np.ndarray, combo: np.ndarray):
+        self.sel, self.idx, self.combo = sel, idx, combo
+        self.coef = self.kind = self.A = self.lu = None
+
+
+def _solve_factored(kept: _Kept, rhs: np.ndarray) -> np.ndarray:
+    """`_tridiag(*kept.A, rhs)` through A's LU factors, factored on first use.
+
+    LAPACK gttrf and gttrs do gtsv's operations in gtsv's order, so x is bit
+    for bit gtsv's.  A zero pivot or a non-finite solution re-solves through
+    `_tridiag`, which raises its own error.
+    """
+    if kept.lu is None:
+        lower, diag, upper = kept.A
+        *lu, info = dgttrf(lower[1:], diag, upper[:-1])
+        if info != 0:
+            return _tridiag(*kept.A, rhs)
+        kept.lu = lu
+    x, info = dgttrs(*kept.lu, rhs)
+    if info != 0 or not np.isfinite(x).all():
+        return _tridiag(*kept.A, rhs)
     return x
 
 
@@ -350,13 +396,7 @@ class _Block:
             if not all(self.american):
                 self.exercisable = np.repeat(self.american, n)
 
-        lo, di, up, a_conv = (np.empty((4, K)) for _ in range(4))
-        upwind = np.empty((4, K), dtype=bool)
-        rho = np.empty((k, 4))
-        for j, (g, c) in enumerate(zip(grids, configs)):
-            cols = slice(j * n, (j + 1) * n)
-            (lo[:, cols], di[:, cols], up[:, cols], upwind[:, cols], a_conv[:, cols],
-             rho[j]) = _region_tables(g.s_nodes, g.ds, c)
+        lo, di, up, upwind, a_conv, rho = _region_tables(self.s, grids, configs)
         self.raw = (lo.ravel(), di.ravel(), up.ravel())
         self.upwind = upwind.astype(np.int8).ravel() if upwind.any() else None
         self.upwinded = np.zeros(k, dtype=np.intp)
@@ -377,9 +417,9 @@ class _Block:
         # `system` builds the implicit system of each region for one kind at a time
         self.dts, self.two_dts, self.plus, self.minus = [], [], [], []
         self.lhs_kind, self.lhs = None, None
-        # (row slice, idx, combo) of a substep that ended on the region codes it
-        # gathered with, for the next substep of the same members
-        self.kept = None
+        # the `_Kept` of a substep that ended on the region codes it gathered
+        # with, for the next substep of the same members
+        self.kept: _Kept | None = None
         ds = self.ds[:, None, None]
         for theta, fraction in _KINDS:
             dts = np.array(self.dt) * fraction
@@ -417,11 +457,16 @@ class _Block:
         combo += self.combo_base[:, msel]
         return idx, combo
 
-    def rhs(self, u: np.ndarray, idx: np.ndarray, combo: np.ndarray, sel, msel,
+    def gather(self, idx: np.ndarray, combo: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Region coefficients of each row and half-node ones of each boundary row."""
+        return (*(table.take(idx) for table in self.raw),
+                self.half_a.take(combo), self.half_rho.take(combo))
+
+    def rhs(self, u: np.ndarray, coef: tuple[np.ndarray, ...], sel, msel,
             kind: int) -> np.ndarray:
         """[I/dts + (1-theta) L] u, each member's L gathered from its level's own pattern."""
         w = 1.0 - _KINDS[kind][0]
-        lo, di, up = (table.take(idx) for table in self.raw)
+        lo, di, up, half_a, half_rho = coef
         lu = lo[1:-1] * u[:-2]
         lu += di[1:-1] * u[1:-1]
         lu += up[1:-1] * u[2:]
@@ -430,13 +475,13 @@ class _Block:
         np.divide(u[1:-1], np.repeat(self.dts[kind][msel], self.n)[1:-1], out=out[1:-1])
         out[1:-1] += lu
         # boundary rows: the convection-reaction equation at the half node
-        ub = u.take(self.bpos[:, :combo.shape[1]])
+        ub = u.take(self.bpos[:, :half_a.shape[1]])
         near, far = ub[0::2], ub[1::2]
         total = near + far
-        flow = self.half_a.take(combo) * (far - near) / self.ds[msel]
-        flow -= self.half_rho.take(combo) * total / 2.0
+        flow = half_a * (far - near) / self.ds[msel]
+        flow -= half_rho * total / 2.0
         flow *= w
-        out[self.ends[:, :combo.shape[1]]] = total / self.two_dts[kind][msel] + flow
+        out[self.ends[:, :half_a.shape[1]]] = total / self.two_dts[kind][msel] + flow
         return out
 
     def system(self, idx: np.ndarray, combo: np.ndarray, kind: int
@@ -618,18 +663,29 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
     ka = act.size
     u_prev, region, arg, debt, ex = b.u[sel], b.region[sel], b.arg[sel], b.debt[sel], b.ex[sel]
     rows = b.rows[sel]
-    # the indices the last substep gathered with still hold if it ended on them
+    # the indices the last substep gathered with still hold if it ended on them,
+    # and so do its coefficients, its system of the same kind and that system's factors
     kept, b.kept = b.kept, None
-    if kept is not None and isinstance(sel, slice) and kept[0] == sel:
-        idx, combo = kept[1:]
-    else:
+    if kept is None or not isinstance(sel, slice) or kept.sel != sel:
         idx, combo = b.indices(region, rows, msel, ka)
-    rhs = b.rhs(u_prev, idx, combo, sel, msel, kind)
+        kept = _Kept(sel, idx, combo) if isinstance(sel, slice) else None
+    else:
+        idx, combo = kept.idx, kept.combo
+    coef = b.gather(idx, combo) if kept is None or kept.coef is None else kept.coef
+    if kept is not None:
+        kept.coef = coef
+    rhs = b.rhs(u_prev, coef, sel, msel, kind)
     it = 0
     while True:
-        if b.upwind is not None:
-            b.count_upwind(idx, msel, ka)
-        A = b.system(idx, combo, kind)
+        reuse = kept is not None and kept.kind == kind
+        if reuse:
+            A = kept.A  # its upwinded nodes are counted
+        else:
+            if b.upwind is not None:
+                b.count_upwind(idx, msel, ka)
+            A = b.system(idx, combo, kind)
+            if kept is not None:
+                kept.kind, kept.A, kept.lu = kind, A, None
         if obstacle is None:
             system = (*A, rhs)
         else:
@@ -637,7 +693,8 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
                       np.where(ex, 0.0, A[2]), np.where(ex, obstacle[sel], rhs))
         keep = None
         try:
-            x = _tridiag(*system)
+            # an exercise set changes the system, so American books are not factored
+            x = _solve_factored(kept, rhs) if reuse and obstacle is None else _tridiag(*system)
         except ValueError:
             # find the members at fault exactly as their own solves would
             x, keep = np.empty_like(rhs), np.ones(ka, dtype=bool)
@@ -664,8 +721,7 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
             if it + 1 < budget and not (new_region != region).any() and (
                     obstacle is None or not (new_ex != ex).any()):
                 b.store(sel, x, new_region, new_arg, new_debt, new_ex)
-                if isinstance(sel, slice):
-                    b.kept = (sel, idx, combo)
+                b.kept = kept
                 return
             # member by member: the repeat rule, else the convergence test
             first = b.ends[0, :ka]
@@ -705,6 +761,7 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
             u_prev, region, arg, debt, ex, rhs = (
                 a[live] for a in (u_prev, region, arg, debt, ex, rhs))
         idx, combo = b.indices(region, rows, msel, ka)
+        kept = _Kept(sel, idx, combo) if isinstance(sel, slice) else None
 
 
 def _blocks(jobs: Iterable[Job]):

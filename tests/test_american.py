@@ -116,7 +116,7 @@ def stepped_systems(side, config, grid):
         b.step = step
         for kind in (0, 0) if step < b.params.rannacher_steps else (1,):
             idx, combo = b.indices(b.region, b.rows, member, 1)
-            rhs = b.rhs(b.u, idx, combo, whole, member, kind)
+            rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
             pde._substep(b, np.arange(1), kind)
             idx, combo = b.indices(b.region, b.rows, member, 1)
             yield b, b.system(idx, combo, kind), rhs, b.u

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
@@ -25,6 +26,7 @@ from fva_pricer import (
     zero_haircut_spread,
 )
 from fva_pricer import pde
+from fva_pricer.cli import main
 from fva_pricer.funding import financing_arrays, select_financing
 from fva_pricer.pde import _tridiag
 from conftest import EXPIRY, RATE, SPOT, STRIKE, VOL, make_config
@@ -455,13 +457,38 @@ class TestTridiag:
         with pytest.raises(LinAlgError, match="singular matrix"):
             _tridiag(np.zeros(5), diag, np.zeros(5), np.ones(5))
 
+    def test_factored_solve_raises_as_tridiag(self):
+        ones = np.ones(5)
+        diag = ones.copy()
+        diag[3] = 0.0
+        with pytest.raises(LinAlgError, match="singular matrix"):
+            pde._solve_factored(kept_system(np.zeros(5), diag, np.zeros(5)), ones)
+        rhs = ones.copy()
+        rhs[2] = np.nan
+        kept = kept_system(ones, 4.0 * ones, ones)
+        with pytest.raises(ValueError, match="non-finite"):
+            pde._solve_factored(kept, rhs)
+        assert bits(pde._solve_factored(kept, ones)) == bits(_tridiag(ones, 4.0 * ones, ones,
+                                                                      ones))
+
+
+def kept_system(lower, diag, upper):
+    """A `_Kept` holding the system, not yet factored."""
+    kept = pde._Kept(slice(0, diag.size), None, None)
+    kept.A = (lower, diag, upper)
+    return kept
+
+
+def bits(x):
+    return x.view(np.int64).tolist()
+
 
 def confirming_substep(b, act, kind):
     """The substep of a one-job batch without the repeat skip: it always runs the
     confirming solve."""
     obstacle, whole, member = b.obstacle, slice(0, b.K), slice(0, 1)
     idx, combo = b.indices(b.region, b.rows, member, 1)
-    rhs = b.rhs(b.u, idx, combo, whole, member, kind)
+    rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
     region, arg, debt, ex, u_prev = b.region, b.arg, b.debt, b.ex, b.u
     for _ in range(b.params.funding_max_iters):
         if b.upwind is not None:
@@ -628,6 +655,12 @@ class TestBatch:
         x = _tridiag(lower, diag, upper, rhs)
         for part, block in zip(parts, np.split(x, seams)):
             assert block.tobytes() == _tridiag(*part).tobytes()
+        # LU factors of the whole block (gttrf), made once and solved twice
+        # (gttrs), give gtsv's bits
+        kept = kept_system(lower, diag, upper)
+        for b in (rhs, np.random.default_rng(100 + k).normal(size=rhs.size)):
+            assert bits(pde._solve_factored(kept, b)) == bits(_tridiag(lower, diag, upper, b))
+            assert kept.lu is not None
 
     def test_blocks_split_at_the_row_cap(self, monkeypatch):
         cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25, sec_haircut=0.15)
@@ -701,3 +734,59 @@ class TestBatch:
             solve_many(jobs())
         with pytest.raises(NoConvergence):
             solve_many(jobs(), SolverParams(funding_max_iters=1))
+
+
+class TestFactoredSolve:
+    """A substep that repeats the last substep's system solves it through that
+    system's LU factors, bit for bit as `_tridiag` would."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """(factored, substeps): the substep index of each factored solve, each
+        checked against `_tridiag`, and the member count of each substep."""
+        factored, substeps = [], []
+        solve_factored, substep = pde._solve_factored, pde._substep
+
+        def checked(kept, rhs):
+            x = solve_factored(kept, rhs)
+            assert bits(x) == bits(_tridiag(*kept.A, rhs))
+            factored.append(len(substeps) - 1)
+            return x
+
+        def counted(b, act, kind):
+            substeps.append(act.size)
+            substep(b, act, kind)
+
+        monkeypatch.setattr(pde, "_solve_factored", checked)
+        monkeypatch.setattr(pde, "_substep", counted)
+        return factored, substeps
+
+    def test_fva_curve_batch(self, traced):
+        factored, substeps = traced
+        result = CliRunner().invoke(main, [
+            "fva-curve", "--engine", "pde", "--kind", "put", "--strike", "88.4",
+            "--rate", "0.0839", "--vol", "0.204", "--dividend-yield", "0.0001",
+            "--nodes", "400", "--dt", "0.04", "--spread-max", "0.04", "--spread-step", "0.01"])
+        assert result.exit_code == 0, result.output
+        assert substeps == [21] * 52
+        assert len(set(factored)) == len(factored) >= 40
+
+    def test_netting_batch(self, traced):
+        factored, substeps = traced
+        result = CliRunner().invoke(main, [
+            "netting", "--strategy", "strangle", "--strikes", "90.3,108.7",
+            "--expiries", "0.5,1,2", "--rate", "0.05", "--vol", "0.3",
+            "--borrow-rate", "0.08", "--repo-rate", "0.055", "--rebate-rate", "0.045",
+            "--repo-haircut", "0.2", "--sec-haircut", "0.3",
+            "--nodes", "400", "--dt", "0.04", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert substeps[0] == 18
+        assert factored
+
+    def test_funded_ask_surface(self, traced):
+        factored, substeps = traced
+        config = OPERATOR_CONFIGS["funded"]
+        grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=400, dt=0.04)
+        pde.solve_surface(single("put"), Side.ASK, config, grid)
+        assert len(substeps) == 52
+        assert factored
