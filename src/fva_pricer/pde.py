@@ -62,6 +62,8 @@ MAX_TIME_STEPS = 100_000
 # per job stops falling from about 8000 rows on (see CHANGES.md); twice that
 # keeps the 21 solves of an fva-curve on 400 nodes in one block.
 MAX_BLOCK_ROWS = 16_384
+# exp(x) overflows above this
+_LOG_MAX = math.log(sys.float_info.max)
 
 Job = tuple[Portfolio, Side, FundingConfig, "PdeGrid"]
 
@@ -217,10 +219,11 @@ def _region_tables(s: np.ndarray, grids: list["PdeGrid"], configs: list[FundingC
     lognormal operator.  The member constants (sigma ** 2, ds ** 2, ...) are
     Python floats, one per member, repeated over its rows.
 
-    Returns (lo, di, up, upwind, a_conv, rho): the (4, K) sub-, main and
-    super-diagonal after the cell-Peclet guard (0 on each member's two
+    Returns (lo, di, up, upwind, a_conv, drift, rho): the (4, K) sub-, main
+    and super-diagonal after the cell-Peclet guard (0 on each member's two
     boundary rows), where the guard made convection one-sided, the
-    convection coefficient, and the (k, 4) discount rates.
+    convection coefficient a_conv = drift * s, and the (k, 4) stock drift
+    and discount rates.
     """
     k, K = len(grids), s.size
     coef = np.empty((4, k, 1))
@@ -258,7 +261,7 @@ def _region_tables(s: np.ndarray, grids: list["PdeGrid"], configs: list[FundingC
         np.copyto(di[inner], -2.0 * diff - r - np.abs(a) / ds, where=pe)
         np.copyto(up[inner], diff + np.where(pos, step, 0.0), where=pe)
     lo, di, up, upwind, a_conv = (table.reshape(4, K) for table in (lo, di, up, upwind, a_conv))
-    return lo, di, up, upwind, a_conv, rho
+    return lo, di, up, upwind, a_conv, coef[:, :, 0].T, rho
 
 
 def _tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -396,7 +399,7 @@ class _Block:
             if not all(self.american):
                 self.exercisable = np.repeat(self.american, n)
 
-        lo, di, up, upwind, a_conv, rho = _region_tables(self.s, grids, configs)
+        lo, di, up, upwind, a_conv, drift, rho = _region_tables(self.s, grids, configs)
         self.raw = (lo.ravel(), di.ravel(), up.ravel())
         self.upwind = upwind.astype(np.int8).ravel() if upwind.any() else None
         self.upwinded = np.zeros(k, dtype=np.intp)
@@ -435,6 +438,13 @@ class _Block:
         self.alive = np.ones(k, dtype=bool)
         self.errors: dict[int, Exception] = {}
         self.step = 0
+        # a member whose value grows past float range over its life (a stock drift
+        # of either sign, or a negative discount rate) fails before its first step
+        rate = np.maximum(np.abs(drift), -rho).max(axis=1)
+        for j in np.flatnonzero(rate * np.array(self.expiry) > _LOG_MAX):
+            self.fail(int(j), ConfigError, f"a stock drift or negative discount rate of "
+                      f"{rate[j]:.6g} over {self.expiry[j]:g} years takes exp(rate * expiry) "
+                      "out of floating-point range")
 
     # -- assembly ------------------------------------------------------------
 

@@ -8,6 +8,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
+from fva_pricer import pde
 from fva_pricer.cli import main
 
 FUNDED = ["--borrow-spread", "0.03", "--repo-spread", "0.005",
@@ -198,6 +199,8 @@ def test_single_option_prices_like_its_one_leg_book(tmp_path, style, side):
     ["netting", "--strategy", "bull", "--vol", "1e300"],
     ["fva-curve", "--engine", "pde", "--expiry", "1e300"],
     ["spread-demo", "--repo-spread", "1e300"],
+    ["spread-demo", "--repo-spread", "1e3"],
+    ["price", "--kind", "put", "--engine", "pde", "--rate", "400"],
     ["price", "--kind", "put", "--spot", "1e300", "--nodes", "200"],
     ["table1", "--spot", "1e300", "--nodes", "200"],
     ["price", "--kind", "put", "--engine", "pde", "--nodes", "200", "--dt", "0.05",
@@ -232,10 +235,21 @@ def test_strike_inside_the_first_cell_exits_2_naming_nodes(args):
                         result.stderr), result.stderr
 
 
-def test_singular_system_names_its_job_step_and_time():
-    result = invoke(["spread-demo", "--repo-spread", "1e300"])
-    assert re.fullmatch(r"error: job \d+ \((bid|ask): [^)]*\): the tridiagonal system is "
-                        r"singular at step \d+ \(t=\S+\)\n", result.stderr), result.stderr
+def test_singular_system_names_its_job_step_and_time(monkeypatch):
+    """No input in floating-point range is known to make the system singular, so
+    the second job's first row is zeroed: that job alone fails, named."""
+    build = pde._Block.system
+
+    def singular_second_job(b, idx, combo, kind):
+        lo, di, up = build(b, idx, combo, kind)
+        if combo.shape[1] > 1:
+            di[b.n] = up[b.n] = 0.0
+        return lo, di, up
+
+    monkeypatch.setattr(pde._Block, "system", singular_second_job)
+    result = invoke(["spread-demo"])
+    assert re.fullmatch(r"error: job 1 \(ask: [^)]*\): the tridiagonal system is "
+                        r"singular at step 0 \(t=\S+\)\n", result.stderr), result.stderr
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -257,8 +271,9 @@ FVA_ZERO_REFERENCE = ["fva-curve", "--engine", "pde", "--kind", "put", "--nodes"
 
 def test_fva_curve_bids_fail_on_an_absurd_spread():
     result = invoke([*FVA_ZERO_REFERENCE, "--strike", "100"])
-    assert result.exit_code == 3, result.output
-    assert result.stderr.startswith("error: job 2 (bid: +1 put 100; european, expiry 2): ")
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: job 2 (bid: +1 put 100; european, expiry 2): a "
+                                    "stock drift or negative discount rate of 1e+299 ")
 
 
 def test_fva_curve_reference_is_checked_before_any_bid_error():
