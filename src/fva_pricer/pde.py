@@ -31,7 +31,8 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   equation at the half node nearest each boundary, which keeps the system
   tridiagonal,
 * American exercise as a second active set of that loop, its rows pinned to the obstacle,
-* implicit-Euler startup steps to damp the payoff kink before the
+* a terminal payoff averaged over the cell of each strike's node, and
+  implicit-Euler startup steps to damp the payoff kink before the
   trapezoidal stepping takes over (disable with rannacher_steps=0).
 
 A batch owns its workspace and shares nothing mutable; concurrent solves on
@@ -217,7 +218,7 @@ def _region_tables(s: np.ndarray, grids: list["PdeGrid"], configs: list[FundingC
     term is linear: it adds ind * spread * h to the stock drift coefficient
     and ind * spread to the discount rate, so each region carries its own
     lognormal operator.  The member constants (sigma ** 2, ds ** 2, ...) are
-    Python floats, one per member, repeated over its rows.
+    Python floats, one per member, broadcast over its nodes.
 
     Returns (lo, di, up, upwind, a_conv, drift, rho): the (4, K) sub-, main
     and super-diagonal after the cell-Peclet guard (0 on each member's two
@@ -262,6 +263,30 @@ def _region_tables(s: np.ndarray, grids: list["PdeGrid"], configs: list[FundingC
         np.copyto(up[inner], diff + np.where(pos, step, 0.0), where=pe)
     lo, di, up, upwind, a_conv = (table.reshape(4, K) for table in (lo, di, up, upwind, a_conv))
     return lo, di, up, upwind, a_conv, coef[:, :, 0].T, rho
+
+
+def _cell_averaged_payoff(portfolio: Portfolio, grid: "PdeGrid") -> np.ndarray:
+    """Terminal payoff on the grid, smoothed where each leg's kink lies.
+
+    On the node whose cell [s - ds/2, s + ds/2] holds a leg's strike, the
+    leg's value is its average over that cell; elsewhere the leg is linear
+    over the cell and keeps its nodal value.  With the Rannacher start-up
+    this restores second-order convergence at a kink that falls between
+    nodes (Pooley, Vetzal & Forsyth, "Convergence remedies for non-smooth
+    payoffs in option pricing", J. Comp. Finance 6(4), 2003).
+    """
+    s, ds = grid.s_nodes, grid.ds
+    total = np.zeros_like(s)
+    for leg in portfolio.legs:
+        value = leg.intrinsic(s)
+        i = int(round(leg.strike / ds))
+        if 0 < i < s.size:
+            # the part of the cell where the leg is in the money, and its average
+            inside = s[i] + 0.5 * ds - leg.strike if leg.kind == "call" else \
+                leg.strike - (s[i] - 0.5 * ds)
+            value[i] = max(inside, 0.0) ** 2 / (2.0 * ds)
+        total = total + leg.quantity * value
+    return total
 
 
 def _tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -381,8 +406,9 @@ class _Block:
         self.s = np.concatenate([g.s_nodes for g in grids])
         self.s_top = [float(g.s_nodes[-1]) for g in grids]
         self.two_ds = np.repeat(2.0 * self.ds, n)
-        self.u = np.concatenate([job[1].position_sign * np.asarray(
-            terminal_payoff(job[0], g.s_nodes), dtype=float) for job, g in zip(self.jobs, grids)])
+        sign = [job[1].position_sign for job in self.jobs]
+        self.u = np.concatenate([sg * _cell_averaged_payoff(job[0], g)
+                                 for sg, job, g in zip(sign, self.jobs, grids)])
         # signed haircut of a long and of a short stock holding, and h * S per row
         self.haircut = np.array([[select_financing(1, c).h_signed,
                                   select_financing(-1, c).h_signed] for c in configs])
@@ -393,9 +419,10 @@ class _Block:
         self.ex = np.zeros(K, dtype=bool)
         self.obstacle = self.sign_row = self.exercisable = None
         if any(self.american):
-            # exercise floor (long) or cap (short) of each American book
-            self.obstacle = self.u.copy()
-            self.sign_row = np.repeat([float(job[1].position_sign) for job in self.jobs], n)
+            # exercise floor (long) or cap (short) of each American book: the raw payoff
+            self.obstacle = np.concatenate([sg * terminal_payoff(job[0], g.s_nodes)
+                                            for sg, job, g in zip(sign, self.jobs, grids)])
+            self.sign_row = np.repeat([float(sg) for sg in sign], n)
             if not all(self.american):
                 self.exercisable = np.repeat(self.american, n)
 
@@ -839,9 +866,9 @@ def solve(portfolio: Portfolio, side: Side, config: FundingConfig,
           grid: PdeGrid, params: SolverParams = SolverParams()) -> PricingResult:
     """Price a European book on one side of the market.
 
-    Backward induction from U(S, T) = sign * payoff, where sign is +1 for
-    BID (long book) and -1 for ASK.  Greeks come from central differences
-    at the spot node.
+    Backward induction from U(S, T) = sign * payoff (cell-averaged at each
+    strike's node), where sign is +1 for BID (long book) and -1 for ASK.
+    Greeks come from central differences at the spot node.
 
     Raises:
         ConfigError: invalid inputs or American legs (use solve_american)
@@ -876,7 +903,8 @@ def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
 
     Returns (times_to_expiry, profiles): profiles[k] is the signed position
     value on the grid with k * dt of life remaining, so profiles[0] is the
-    terminal payoff.  Used by the hedge simulator as a pricing oracle.
+    terminal payoff, averaged over the cell of each strike's node (see
+    `_cell_averaged_payoff`).  Used by the hedge simulator as a pricing oracle.
     """
     if portfolio.style != "european":
         raise ConfigError("solve_surface() handles European books only")

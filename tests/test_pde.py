@@ -23,6 +23,7 @@ from fva_pricer import (
     solve,
     solve_american,
     solve_many,
+    terminal_payoff,
     zero_haircut_spread,
 )
 from fva_pricer import pde
@@ -369,6 +370,37 @@ def one_block(config, grid, book=None, side=Side.BID):
     """The batch state of one job."""
     return pde._Block([(0, (book or single("put"), side, config, grid))], SolverParams(),
                       labelled=False)
+
+
+class TestCellAveragedPayoff:
+    @pytest.mark.parametrize("strike", [100.0, 100.3, 101.7])
+    def test_strike_nodes_hold_the_payoff_averaged_over_their_cell(self, strike):
+        book = Portfolio(legs=(OptionLeg("call", strike, 2.0),
+                               OptionLeg("put", strike + 5.3, -1.0)), expiry=EXPIRY)
+        grid = PdeGrid.for_portfolio(SPOT, book, make_config(), n_nodes=400, dt=0.04)
+        s, ds = grid.s_nodes, grid.ds
+        got = pde._cell_averaged_payoff(book, grid)
+        raw = terminal_payoff(book, s)
+        kinks = sorted({int(round(leg.strike / ds)) for leg in book.legs})
+        assert set(np.flatnonzero(got != raw)) <= set(kinks)
+        np.testing.assert_allclose(np.delete(got, kinks), np.delete(raw, kinks),
+                                   rtol=0.0, atol=0.0)
+        for i in kinks:
+            # midpoint rule on 10^5 subcells of the node's cell
+            fine = s[i] + ds * ((np.arange(100_000) + 0.5) / 100_000 - 0.5)
+            assert got[i] == pytest.approx(float(np.mean(terminal_payoff(book, fine))),
+                                           rel=1e-9, abs=1e-12)
+
+    def test_american_obstacle_stays_the_raw_payoff(self, classic_config, coarse_grid):
+        book = Portfolio.single("put", STRIKE, EXPIRY, style="american")
+        for side in (Side.BID, Side.ASK):
+            b = pde._Block([(0, (book, side, classic_config, coarse_grid))], SolverParams(),
+                           labelled=False)
+            raw = side.position_sign * terminal_payoff(book, coarse_grid.s_nodes)
+            assert b.obstacle.tobytes() == raw.tobytes()
+            assert b.u.tobytes() == (side.position_sign * pde._cell_averaged_payoff(
+                book, coarse_grid)).tobytes()
+            assert np.count_nonzero(b.u != raw) == 1
 
 
 class TestRegionTables:
