@@ -383,8 +383,6 @@ class TestCellAveragedPayoff:
         raw = terminal_payoff(book, s)
         kinks = sorted({int(round(leg.strike / ds)) for leg in book.legs})
         assert set(np.flatnonzero(got != raw)) <= set(kinks)
-        np.testing.assert_allclose(np.delete(got, kinks), np.delete(raw, kinks),
-                                   rtol=0.0, atol=0.0)
         for i in kinks:
             # midpoint rule on 10^5 subcells of the node's cell
             fine = s[i] + ds * ((np.arange(100_000) + 0.5) / 100_000 - 0.5)
