@@ -355,8 +355,8 @@ def fva_curve(**kw) -> None:
     n = int(round(top / step))
     spreads = [i * step for i in range(n + 1)]
 
-    # the solver's own tolerance, the funding_iter_tol default: a reference at
-    # or below it is noise, and the adjustment would divide by it
+    # the solver's funding tolerance, 1e-10 * strike: a reference at or below it
+    # is noise, and the adjustment would divide by it
     floor = 1e-10 * strike
 
     def positive(reference: float) -> float:

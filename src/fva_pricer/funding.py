@@ -67,14 +67,11 @@ def select_financing(stock_holding_sign: int, config: FundingConfig) -> Financin
 
 
 def financing_arrays(holding: np.ndarray, config: FundingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized haircut/rate selection keyed off the holding sign."""
+    """`select_financing`'s (h_signed, r_p_effective) of each holding's sign."""
+    long_sel, short_sel = select_financing(1, config), select_financing(-1, config)
     long_stock = holding >= 0.0
-    if config.no_repo:
-        h = np.where(long_stock, 1.0, -1.0)
-    else:
-        h = np.where(long_stock, config.repo_haircut, -config.sec_haircut)
-    rp = np.where(long_stock, config.repo_rate, config.rebate_rate)
-    return h, rp
+    return (np.where(long_stock, long_sel.h_signed, short_sel.h_signed),
+            np.where(long_stock, long_sel.r_p_effective, short_sel.r_p_effective))
 
 
 def funding_term(value: float, slope: float, spot: float, config: FundingConfig) -> float:

@@ -21,7 +21,9 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   iteration assembles the systems of the unfinished jobs only and solves
   them with one call of LAPACK gtsv over the concatenated blocks, whose
   coupling at every seam is zero, so each job's result is bit for bit its
-  stand-alone solve.  `solve`, `solve_american` and `solve_surface` are
+  stand-alone solve.  A batch stops at its first failure; `solve_many` then
+  re-solves its jobs alone, in submission order, to raise the error of the
+  first job that fails.  `solve`, `solve_american` and `solve_surface` are
   one-job batches,
 * a European substep that starts on the region codes the last one ended on,
   with the same members and step kind, reuses that substep's system: from
@@ -32,8 +34,8 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   tridiagonal,
 * American exercise as a second active set of that loop, its rows pinned to the obstacle,
 * a terminal payoff averaged over the cell of each strike's node, and
-  implicit-Euler startup steps to damp the payoff kink before the
-  trapezoidal stepping takes over (disable with rannacher_steps=0).
+  RANNACHER_STEPS implicit-Euler startup steps to damp the payoff kink
+  before the trapezoidal stepping takes over.
 
 A batch owns its workspace and shares nothing mutable; concurrent solves on
 different threads are safe.
@@ -45,7 +47,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -63,6 +65,8 @@ MAX_TIME_STEPS = 100_000
 # per job stops falling from about 8000 rows on (see CHANGES.md); twice that
 # keeps the 21 solves of an fva-curve on 400 nodes in one block.
 MAX_BLOCK_ROWS = 16_384
+# initial steps run as two implicit half-steps each; 2 keeps the strike-node gamma clean
+RANNACHER_STEPS = 2
 # exp(x) overflows above this
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -115,9 +119,11 @@ class PdeGrid:
         At most MAX_TIME_STEPS steps of about dt cover the expiry.
 
         Raises:
-            GridTooCoarse: the spot is not interior, or the smallest strike
+            GridTooCoarse: the spot is not interior; the smallest strike
                 (`min_strike`, default `max_strike`) lies inside the first
-                cell, where the grid cannot resolve its payoff kink.
+                cell, where the grid cannot resolve its payoff kink; or
+                sigma * spot * sqrt(expiry) is below one cell, so the
+                expiry is too short for the grid to resolve.
         """
         _require_positive(spot=spot, expiry=expiry, dt=dt)
         if not (max_strike > 0 and sigma > 0):
@@ -146,15 +152,25 @@ class PdeGrid:
         if not ds * ds >= sys.float_info.min:  # a subnormal ds**2 loses digits, 0 gives 0/0
             raise ConfigError(f"spot={spot} gives a grid spacing of {ds:.6g}, whose "
                               "square underflows", field="spot")
+
+        def require_cell(length: float, what: str) -> None:
+            """Raise unless `length` spans a grid cell, naming the node count that makes it."""
+            if length >= ds:
+                return
+            try:  # the spot node floor(spot * (n - 1) / s_target) must reach spot / length
+                count = math.ceil(math.ceil(spot / length) * s_target / spot) + 1
+                need = f"about {count:.6g} nodes"
+            except (OverflowError, ZeroDivisionError):
+                need = "more nodes than a float can count"
+            raise GridTooCoarse(f"{what}; resolving it takes {need}", field="nodes")
+
         strike = max_strike if min_strike is None else min_strike
-        if strike < ds:
-            try:  # the spot node floor(spot * (n - 1) / s_target) must reach spot / strike
-                need = f"{math.ceil(math.ceil(spot / strike) * s_target / spot) + 1:.6g}"
-            except OverflowError:
-                need = "more than a float can count"
-            raise GridTooCoarse(
-                f"strike {strike:.6g} lies inside the first grid cell [0, {ds:.6g}); "
-                f"resolving it takes about {need} nodes", field="nodes")
+        require_cell(strike, f"strike {strike:.6g} lies inside the first grid cell [0, {ds:.6g})")
+        # below one cell of diffusion the strike node keeps its cell average, far
+        # from the option's value
+        width = sigma * spot * math.sqrt(expiry)
+        require_cell(width, f"sigma * spot * sqrt(expiry) = {width:.6g} at expiry {expiry:.6g} "
+                            f"is less than one grid cell ({ds:.6g})")
         nodes = np.arange(n_nodes, dtype=float) * ds
         n_steps = max(1, int(math.ceil(steps - 1e-12)))
         return cls(s_nodes=nodes, dt=expiry / n_steps, n_steps=n_steps, spot_index=m)
@@ -169,25 +185,16 @@ class PdeGrid:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Iteration tolerance and budget of the funding and exercise iteration.
+    """Iteration budget of the funding and exercise iteration, per substep.
 
-    funding_iter_tol defaults to 1e-10 * max_strike when left unset.
-    rannacher_steps counts initial steps run as two implicit half-steps
-    each; 2 is enough to keep the strike-node gamma clean.
+    Its tolerance is 1e-10 * max_strike of each book.
     """
 
-    funding_iter_tol: float | None = None
     funding_max_iters: int = 50
-    rannacher_steps: int = 2
 
     def __post_init__(self) -> None:
-        if self.funding_iter_tol is not None:
-            _require_positive(funding_iter_tol=self.funding_iter_tol)
         if self.funding_max_iters < 1:
             raise ConfigError("funding_max_iters must be >= 1")
-        if self.rannacher_steps < 0:
-            raise ConfigError(f"rannacher_steps={self.rannacher_steps} must be >= 0",
-                              field="rannacher_steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,7 +386,6 @@ class _Block:
         jobs = sorted(jobs, key=lambda ij: -ij[1][3].n_steps)
         self.index = [i for i, _ in jobs]
         self.jobs = [job for _, job in jobs]
-        self.submitted = np.array(self.index)
         self.params = params
         self.labelled = labelled
         grids = [job[3] for job in self.jobs]
@@ -389,7 +395,6 @@ class _Block:
         self.k, self.n, self.K = k, n, k * n
         K = self.K
         self.rows = np.arange(K)
-        self.cols = np.arange(n)
         starts = np.arange(k) * n
         ends = starts + (n - 1)
         # per member: its first, second, second-to-last and last row; its first and last row
@@ -400,8 +405,7 @@ class _Block:
         self.dt = [g.dt for g in grids]
         self.expiry = [job[0].expiry for job in self.jobs]
         self.ds = np.array([g.ds for g in grids])
-        self.tol = np.array([params.funding_iter_tol or 1e-10 * job[0].max_strike
-                             for job in self.jobs])
+        self.tol = np.array([1e-10 * job[0].max_strike for job in self.jobs])
         self.spread = [config.spread for config in configs]
         self.s = np.concatenate([g.s_nodes for g in grids])
         self.s_top = [float(g.s_nodes[-1]) for g in grids]
@@ -462,8 +466,6 @@ class _Block:
 
         self.region, self.arg, self.debt = self.pattern(self.u, slice(0, K), slice(0, k), k)
         self.boundary: list[list[tuple[float, float]]] = [[] for _ in range(k)]
-        self.alive = np.ones(k, dtype=bool)
-        self.errors: dict[int, Exception] = {}
         self.step = 0
         # a member whose value grows past float range over its life (a stock drift
         # of either sign, or a negative discount rate) fails before its first step
@@ -474,13 +476,6 @@ class _Block:
                       "out of floating-point range")
 
     # -- assembly ------------------------------------------------------------
-
-    def select(self, act: np.ndarray):
-        """(member selector, row selector) of the sorted members `act`; slices for a prefix."""
-        ka = act.size
-        if ka == 0 or act[-1] == ka - 1:
-            return slice(0, ka), slice(0, ka * self.n)
-        return act, (act[:, None] * self.n + self.cols).ravel()
 
     def indices(self, region: np.ndarray, rows: np.ndarray, msel, ka: int
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -582,12 +577,10 @@ class _Block:
     def where(self, j: int) -> str:
         return f"at step {self.step} (t={self.time(j):.6g})"
 
-    def fail(self, j: int, error: type[Exception], message: str) -> None:
-        """Record member j's error; it, and every member submitted after the
-        first failure, takes no further steps."""
+    def fail(self, j: int, error: type[Exception], message: str) -> NoReturn:
+        """Raise member j's error, labelled with its job if the block is."""
         label = _describe(self.index[j], self.jobs[j]) + ": " if self.labelled else ""
-        self.errors[self.index[j]] = error(label + message)
-        self.alive &= self.submitted < min(self.errors)
+        raise error(label + message)
 
     def converged(self, j: int, rows: slice, change: float, region: np.ndarray,
                   arg: np.ndarray, old_region: np.ndarray, old_arg: np.ndarray) -> bool:
@@ -621,16 +614,17 @@ class _Block:
             self.u[sel], self.region[sel], self.arg[sel] = x, region, arg
             self.debt[sel], self.ex[sel] = debt, ex
 
-    def record_boundary(self, act: np.ndarray) -> None:
-        """Store indicator switch points of each funded member's converged slice."""
+    def record_boundary(self, ka: int) -> None:
+        """Store the indicator switch points of each funded member among the first
+        `ka`, from its converged slice."""
         n = self.n
-        _, sel = self.select(act)
+        sel = slice(0, ka * n)
         debt = self.debt[sel]
         flips = debt[1:] != debt[:-1]
         flips[n - 1::n] = False  # seams between members
         arg, s = self.arg[sel], self.s[sel]
         for i in np.flatnonzero(flips):
-            j = int(act[i // n])
+            j = i // n
             if self.spread[j] > 0.0 and \
                     max(abs(arg[i]), abs(arg[i + 1])) > 1e-9 * self.s_top[j]:
                 self.boundary[j].append((self.time(j), float(0.5 * (s[i] + s[i + 1]))))
@@ -638,24 +632,18 @@ class _Block:
     # -- stepping ------------------------------------------------------------
 
     def run(self, keep_slices: bool = False) -> list[np.ndarray] | None:
-        """Backward induction of every member; a failed member records its error."""
+        """Backward induction of every member; the first member to fail raises."""
         slices = [self.u.copy()] if keep_slices else None
         funded = any(spread > 0.0 for spread in self.spread)
         act = np.arange(self.k)
-        for step in range(int(self.n_steps.max())):
+        for step in range(int(self.n_steps[0])):
             self.step = step
-            if self.errors or self.n_steps[act[-1]] <= step:
-                act = np.flatnonzero(self.alive & (self.n_steps > step))
-                if act.size == 0:
-                    break
-            for kind in ((0, 0) if step < self.params.rannacher_steps else (1,)):
+            # members are sorted longest first, so those still stepping are a prefix
+            act = act[self.n_steps[act] > step]
+            for kind in ((0, 0) if step < RANNACHER_STEPS else (1,)):
                 _substep(self, act, kind)
-                if self.errors:
-                    act = act[self.alive[act]]
-                    if act.size == 0:
-                        break
-            if funded and act.size:
-                self.record_boundary(act)
+            if funded:
+                self.record_boundary(act.size)
             if keep_slices:
                 slices.append(self.u.copy())
         return slices
@@ -676,15 +664,10 @@ class _Block:
                 upwinded_nodes=int(self.upwinded[j]))))
         return out
 
-    def raise_first(self) -> None:
-        """Raise the error of the member submitted first among those that failed."""
-        if self.errors:
-            raise self.errors[min(self.errors)]
-
 
 def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
-    """One theta-step of the members `act`: tridiagonal solves iterated to a fixed
-    funding pattern.
+    """One theta-step of the members `act`, a prefix of the block: tridiagonal
+    solves iterated to a fixed funding pattern.
 
     An American book also freezes its exercise set, whose rows read
     x = obstacle; the next set is where sign * (x - obstacle) <=
@@ -696,22 +679,19 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
     """
     n, budget = b.n, b.params.funding_max_iters
     obstacle = b.obstacle
-    msel, sel = b.select(act)
     ka = act.size
+    msel, sel = slice(0, ka), slice(0, ka * n)
     u_prev, region, arg, debt, ex = b.u[sel], b.region[sel], b.arg[sel], b.debt[sel], b.ex[sel]
     rows = b.rows[sel]
     # the indices the last substep gathered with still hold if it ended on them,
     # and so do its coefficients, its system of the same kind and that system's factors
     kept, b.kept = b.kept, None
-    if kept is None or not isinstance(sel, slice) or kept.sel != sel:
-        idx, combo = b.indices(region, rows, msel, ka)
-        kept = _Kept(sel, idx, combo) if isinstance(sel, slice) else None
-    else:
-        idx, combo = kept.idx, kept.combo
-    coef = b.gather(idx, combo) if kept is None or kept.coef is None else kept.coef
-    if kept is not None:
-        kept.coef = coef
-    rhs = b.rhs(u_prev, coef, sel, msel, kind)
+    if kept is None or kept.sel != sel:
+        kept = _Kept(sel, *b.indices(region, rows, msel, ka))
+    idx, combo = kept.idx, kept.combo
+    if kept.coef is None:
+        kept.coef = b.gather(idx, combo)
+    rhs = b.rhs(u_prev, kept.coef, sel, msel, kind)
     it = 0
     while True:
         reuse = kept is not None and kept.kind == kind
@@ -728,68 +708,54 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
         else:
             system = (np.where(ex, 0.0, A[0]), np.where(ex, 1.0, A[1]),
                       np.where(ex, 0.0, A[2]), np.where(ex, obstacle[sel], rhs))
-        keep = None
         try:
             # an exercise set changes the system, so American books are not factored
             x = _solve_factored(kept, rhs) if reuse and obstacle is None else _tridiag(*system)
-        except ValueError:
-            # find the members at fault exactly as their own solves would
-            x, keep = np.empty_like(rhs), np.ones(ka, dtype=bool)
-            for j in range(ka):
-                blk = slice(j * n, (j + 1) * n)
-                try:
-                    x[blk] = _tridiag(*(part[blk] for part in system))
-                except ValueError as exc:
-                    what = "is singular" if isinstance(exc, LinAlgError) else \
-                        "has a non-finite solution"
-                    m = int(act[j])
-                    b.fail(m, ConfigError, f"the tridiagonal system {what} {b.where(m)}")
-                    keep[j] = False
-            if keep.all():
-                keep = None
-        if keep is None:
-            new_ex = ex
-            if obstacle is not None:
-                sign = b.sign_row[sel]
-                new_ex = sign * (x - obstacle[sel]) <= sign * _residual(*A, x, rhs)
-                if b.exercisable is not None:
-                    new_ex &= b.exercisable[sel]
-            new_region, new_arg, new_debt = b.pattern(x, sel, msel, ka)
-            if it + 1 < budget and not (new_region != region).any() and (
-                    obstacle is None or not (new_ex != ex).any()):
-                b.store(sel, x, new_region, new_arg, new_debt, new_ex)
-                b.kept = kept
-                return
-            # member by member: the repeat rule, else the convergence test
-            first = b.ends[0, :ka]
-            change = np.maximum.reduceat(np.abs(x - u_prev), first)
-            if it + 1 < budget:
-                accept = ~np.logical_or.reduceat(new_region != region, first)
-                if obstacle is not None:
-                    accept &= ~np.logical_or.reduceat(new_ex != ex, first)
-            else:
-                accept = np.zeros(ka, dtype=bool)
-            for j in np.flatnonzero(~accept & (change < b.tol[msel])):
-                accept[j] = b.converged(int(act[j]), slice(j * n, (j + 1) * n), change[j],
-                                        new_region, new_arg, region, arg)
-            if accept.all():
-                b.store(sel, x, new_region, new_arg, new_debt, new_ex)
-                return
-            if accept.any():
-                done = np.repeat(accept, n)
-                b.store(rows[done], x[done], new_region[done], new_arg[done],
-                        new_debt[done], new_ex[done])
-            keep = ~accept
-            it += 1
-            if it == budget:
-                for j in np.flatnonzero(keep):
-                    m = int(act[j])
-                    b.fail(m, NoConvergence, b.no_convergence(
-                        m, slice(j * n, (j + 1) * n), change[j], new_debt, debt, new_ex, ex))
-                return
-            u_prev, region, arg, debt, ex = x, new_region, new_arg, new_debt, new_ex
-        elif not keep.any():
+        except ValueError as exc:
+            # named after the first member: in a batch, solve_many finds the one at
+            # fault by solving each job alone
+            what = "is singular" if isinstance(exc, LinAlgError) else "has a non-finite solution"
+            m = int(act[0])
+            b.fail(m, ConfigError, f"the tridiagonal system {what} {b.where(m)}")
+        new_ex = ex
+        if obstacle is not None:
+            sign = b.sign_row[sel]
+            new_ex = sign * (x - obstacle[sel]) <= sign * _residual(*A, x, rhs)
+            if b.exercisable is not None:
+                new_ex &= b.exercisable[sel]
+        new_region, new_arg, new_debt = b.pattern(x, sel, msel, ka)
+        if it + 1 < budget and not (new_region != region).any() and (
+                obstacle is None or not (new_ex != ex).any()):
+            b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+            b.kept = kept
             return
+        # member by member: the repeat rule, else the convergence test
+        first = b.ends[0, :ka]
+        change = np.maximum.reduceat(np.abs(x - u_prev), first)
+        if it + 1 < budget:
+            accept = ~np.logical_or.reduceat(new_region != region, first)
+            if obstacle is not None:
+                accept &= ~np.logical_or.reduceat(new_ex != ex, first)
+        else:
+            accept = np.zeros(ka, dtype=bool)
+        for j in np.flatnonzero(~accept & (change < b.tol[msel])):
+            accept[j] = b.converged(int(act[j]), slice(j * n, (j + 1) * n), change[j],
+                                    new_region, new_arg, region, arg)
+        if accept.all():
+            b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+            return
+        if accept.any():
+            done = np.repeat(accept, n)
+            b.store(rows[done], x[done], new_region[done], new_arg[done],
+                    new_debt[done], new_ex[done])
+        keep = ~accept
+        it += 1
+        if it == budget:
+            j = int(np.flatnonzero(keep)[0])
+            m = int(act[j])
+            b.fail(m, NoConvergence, b.no_convergence(
+                m, slice(j * n, (j + 1) * n), change[j], new_debt, debt, new_ex, ex))
+        u_prev, region, arg, debt, ex = x, new_region, new_arg, new_debt, new_ex
         if not keep.all():
             # carry only the unfinished members into the next iteration
             live = np.repeat(keep, n)
@@ -841,10 +807,11 @@ def solve_many(jobs: Iterable[Job], params: SolverParams = SolverParams()
     Each result equals the job's stand-alone solve bit for bit; European and
     American books mix freely.  Every grid must have the same node count;
     spacing, dt and step count may differ.  Failures surface as if the jobs
-    were solved one at a time in order: the error raised is that of the
-    first failing job, and an error raised by the `jobs` iterable itself
-    comes after the jobs before it.  With more than one job the error
-    message names its job.
+    were solved one at a time in order: a batch stops at its first failure
+    and then re-solves its jobs alone, in submission order, so the error
+    raised is that of the first failing job; an error raised by the `jobs`
+    iterable itself comes after the jobs before it.  With more than one job
+    the error message names its job.
 
     Raises:
         ConfigError: grids with different node counts, or a job whose
@@ -855,10 +822,22 @@ def solve_many(jobs: Iterable[Job], params: SolverParams = SolverParams()
     for block in _blocks(jobs):
         if isinstance(block, Exception):
             raise block
-        b = _Block(block, params, labelled=len(block) > 1 or block[0][0] > 0)
-        b.run()
-        b.raise_first()
-        results.extend(res for _, res in sorted(b.results(), key=lambda ir: ir[0]))
+        labelled = len(block) > 1 or block[0][0] > 0
+        try:
+            b = _Block(block, params, labelled)
+            b.run()
+        except (ConfigError, NoConvergence) as exc:
+            if len(block) == 1:
+                raise
+            error = exc
+        else:
+            results.extend(res for _, res in sorted(b.results(), key=lambda ir: ir[0]))
+            continue
+        # the block stopped at the failure it met first, which need not be the first
+        # submitted job's; a job fails in a batch exactly when it fails alone
+        for job in block:
+            _Block([job], params, labelled).run()
+        raise error
     return results
 
 
@@ -910,6 +889,5 @@ def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
         raise ConfigError("solve_surface() handles European books only")
     b = _Block([(0, (portfolio, side, config, grid))], params, labelled=False)
     profiles = b.run(keep_slices=True)
-    b.raise_first()
     taus = np.arange(grid.n_steps + 1) * grid.dt
     return taus, np.asarray(profiles)

@@ -114,7 +114,7 @@ def stepped_systems(side, config, grid):
     whole, member = slice(0, b.K), slice(0, 1)
     for step in range(grid.n_steps):
         b.step = step
-        for kind in (0, 0) if step < b.params.rannacher_steps else (1,):
+        for kind in (0, 0) if step < pde.RANNACHER_STEPS else (1,):
             idx, combo = b.indices(b.region, b.rows, member, 1)
             rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
             pde._substep(b, np.arange(1), kind)

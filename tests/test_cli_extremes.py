@@ -117,3 +117,25 @@ def test_table1(extra):
 @settings(max_examples=60, deadline=None)
 def test_spread_demo(extra):
     check(["spread-demo", "--format", "json", *SMALL_GRID, *extra])
+
+
+@given(kind=st.sampled_from(["call", "put"]), style=st.sampled_from(["european", "american"]),
+       log_ratio=st.one_of(st.floats(-2, 2), st.floats(-300, 300)),
+       log_expiry=st.one_of(st.floats(-3, math.log10(5)), st.floats(-300, math.log10(5))))
+@settings(max_examples=60, deadline=None)
+def test_pde_price_at_every_scale(kind, style, log_ratio, log_expiry):
+    """spot/strike from 1e-300 to 1e300 and expiry from 1e-300 to 5: the funded
+    quotes are finite with bid <= mid <= ask, or the grid is refused (exit 2)."""
+    market = {**MARKET, "--strike": repr(100.0 / 10.0 ** log_ratio),
+              "--expiry": repr(10.0 ** log_expiry),
+              **{flag: value for flag, value in FUNDING.items() if "rate" not in flag}}
+    result = CliRunner().invoke(main, ["price", "--kind", kind, "--style", style,
+                                       "--format", "json",
+                                       *(tok for item in market.items() for tok in item)])
+    assert result.exit_code in (0, 2), (market, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        quote = json.loads(result.stdout)
+        assert all(math.isfinite(x) for x in numbers(quote)), (market, quote)
+        assert quote["bid"] <= quote["mid_reference"] <= quote["ask"], (market, quote)

@@ -5,6 +5,7 @@ import re
 import time
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -235,15 +236,47 @@ def test_strike_inside_the_first_cell_exits_2_naming_nodes(args):
                         result.stderr), result.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["price", "--kind", "put", "--expiry", "1e-6", "--side", "riskfree"],
+    ["price", "--kind", "put", "--expiry", "1e-300", "--side", "riskfree"],
+    ["price", "--kind", "put", "--style", "american", "--expiry", "1e-300"],
+    ["fva-curve", "--engine", "pde", "--kind", "put", "--expiry", "1e-6"],
+])
+def test_expiry_below_one_cell_of_diffusion_exits_2_naming_nodes(args):
+    """The strike node would keep its cell average, far from the option's value."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke([*args, "--nodes", "200", "--dt", "0.05"])
+    assert result.exit_code == 2, result.output
+    assert re.fullmatch(r"error: --nodes: GridTooCoarse, sigma \* spot \* sqrt\(expiry\) = "
+                        r"\S+ at expiry \S+ is less than one grid cell \(\S+\); resolving "
+                        r"it takes about \S+ nodes\n", result.stderr), result.stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_short_expiry_prices_on_the_node_count_it_names():
+    args = ["price", "--kind", "put", "--dt", "0.05", "--side", "riskfree"]
+    coarse = invoke([*args, "--nodes", "200", "--expiry", "1e-4"])
+    assert coarse.exit_code == 2, coarse.output
+    nodes = re.search(r"about (\d+) nodes", coarse.stderr).group(1)
+    assert invoke([*args, "--nodes", nodes, "--expiry", "1e-4"]).exit_code == 0
+    # one cell of diffusion is well inside an expiry of 0.01 at 200 nodes
+    result = invoke([*args, "--nodes", "200", "--expiry", "0.01"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[2].startswith("1.82278835,")
+
+
 def test_singular_system_names_its_job_step_and_time(monkeypatch):
     """No input in floating-point range is known to make the system singular, so
-    the second job's first row is zeroed: that job alone fails, named."""
+    the second job's first row is zeroed, in a batch and alone: that job fails,
+    named."""
     build = pde._Block.system
 
     def singular_second_job(b, idx, combo, kind):
         lo, di, up = build(b, idx, combo, kind)
-        if combo.shape[1] > 1:
-            di[b.n] = up[b.n] = 0.0
+        if 1 in b.index:
+            first = np.flatnonzero(idx % b.K == b.index.index(1) * b.n)
+            di[first] = up[first] = 0.0
         return lo, di, up
 
     monkeypatch.setattr(pde._Block, "system", singular_second_job)

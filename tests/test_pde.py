@@ -294,7 +294,7 @@ class TestSolverErrors:
                           sec_haircut=0.15)
         book = Portfolio(legs=(OptionLeg("call", 95.0, 1.0),
                                OptionLeg("call", 105.0, -1.0)), expiry=EXPIRY)
-        params = SolverParams(funding_iter_tol=1e-18, funding_max_iters=1)
+        params = SolverParams(funding_max_iters=1)
         with pytest.raises(NoConvergence):
             solve(book, Side.BID, cfg, coarse_grid, params)
 
@@ -319,15 +319,6 @@ class TestSolverErrors:
         pf = Portfolio.single("put", STRIKE, EXPIRY, style="american")
         with pytest.raises(ConfigError):
             solve(pf, Side.RISK_FREE, classic_config, coarse_grid)
-
-    @pytest.mark.parametrize("field,value", [
-        ("rannacher_steps", -3), ("rannacher_steps", -1),
-        ("funding_iter_tol", math.inf), ("funding_iter_tol", math.nan),
-        ("funding_iter_tol", 0.0), ("funding_iter_tol", -1e-8)])
-    def test_bad_params_rejected_with_their_field(self, field, value):
-        with pytest.raises(ConfigError) as info:
-            SolverParams(**{field: value})
-        assert info.value.field == field
 
 
 def direct_operator(h, rp, ind, s, ds, config):
@@ -738,22 +729,6 @@ class TestBatch:
                                                 r"expiry 0.5\): .* at step 0 \(t=0.461538\)"):
             solve_many(jobs, params)
 
-    def test_members_before_a_failure_finish_bit_for_bit(self, classic_config):
-        """The failing job runs first in the batch; the job submitted before it
-        goes on alone, as a member that is no longer a prefix of the batch."""
-        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
-                          sec_haircut=0.15)
-        params = SolverParams(funding_max_iters=2)
-        ok = (single("put", expiry=0.5), Side.RISK_FREE, classic_config,
-              PdeGrid.build(SPOT, STRIKE, VOL, 0.5, n_nodes=BATCH_NODES, dt=0.05))
-        bad = (single("put"), Side.BID, cfg,
-               PdeGrid.build(SPOT, STRIKE, VOL, EXPIRY, n_nodes=BATCH_NODES, dt=0.05))
-        assert isinstance(alone(bad, params), NoConvergence)
-        b = pde._Block([(0, ok), (1, bad)], params, labelled=True)
-        b.run()
-        assert list(b.errors) == [1]
-        assert result_bytes(dict(b.results())[0]) == result_bytes(alone(ok, params))
-
     def test_error_of_the_job_iterable_comes_after_the_jobs_before_it(self, coarse_grid,
                                                                      classic_config):
         def jobs():
@@ -764,6 +739,29 @@ class TestBatch:
             solve_many(jobs())
         with pytest.raises(NoConvergence):
             solve_many(jobs(), SolverParams(funding_max_iters=1))
+
+
+class TestScale:
+    """The model is homogeneous of degree one in (spot, strike): the funding
+    terms are linear in S and V and the max() switch is positively
+    homogeneous, so a book scaled by lambda is worth lambda times as much."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(u=st.floats(-100, 100))
+    def test_scaled_book_is_worth_lambda_times_as_much(self, u):
+        lam = 10.0 ** u
+        cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
+                          sec_haircut=0.15, sigma=0.3)
+        jobs = []
+        for scale in (1.0, lam):
+            for style in ("european", "american"):
+                book = Portfolio.single("put", 95.0 * scale, 1.0, style=style)
+                grid = PdeGrid.for_portfolio(SPOT * scale, book, cfg, n_nodes=200, dt=0.1)
+                jobs.extend((book, side, cfg, grid) for side in Side)
+        results = solve_many(jobs)
+        half = len(jobs) // 2
+        for plain, scaled in zip(results[:half], results[half:]):
+            assert scaled.value / lam == pytest.approx(plain.value, rel=1e-9, abs=0.0)
 
 
 class TestFactoredSolve:
