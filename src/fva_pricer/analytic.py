@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError, HaircutNotZero, NoConvergence, PriceOutOfBounds
 from .funding import select_financing
@@ -26,9 +25,17 @@ VOL_LO = 1e-6
 VOL_HI = 5.0
 
 
+# scipy.special.erfc, imported by the first norm_cdf call: commands that
+# evaluate no closed form never load scipy.special
+_erfc = None
+
+
 def norm_cdf(x):
     """Standard normal CDF via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / SQRT2)
+    global _erfc
+    if _erfc is None:
+        from scipy.special import erfc as _erfc
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / SQRT2)
 
 
 def norm_pdf(x):

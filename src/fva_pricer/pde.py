@@ -37,22 +37,30 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   RANNACHER_STEPS implicit-Euler startup steps to damp the payoff kink
   before the trapezoidal stepping takes over.
 
+gtsv, gttrf and gttrs are the f2py wrappers scipy.linalg.lapack re-exports,
+taken from scipy's LAPACK extension module, which is loaded from its file
+without importing any scipy package: a process that only solves PDEs skips
+the roughly 0.3 s those imports cost.  `LinAlgError` is numpy's, the class
+scipy.linalg raises.
+
 A batch owns its workspace and shares nothing mutable; concurrent solves on
 different threads are safe.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Iterable, NoReturn
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg import solve_banded  # noqa: F401  the name the benchmark tracer wraps
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from numpy.linalg import LinAlgError
 
 from .errors import ConfigError, GridTooCoarse, NoConvergence
 from .funding import financing_arrays, select_financing  # noqa: F401  financing_arrays: traced
@@ -71,6 +79,54 @@ RANNACHER_STEPS = 2
 _LOG_MAX = math.log(sys.float_info.max)
 
 Job = tuple[Portfolio, Side, FundingConfig, "PdeGrid"]
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's LAPACK extension module, loaded from its file without importing scipy.
+
+    The module is not left in sys.modules, so a later import of scipy.linalg
+    loads it the usual way; once scipy.linalg is loaded, its copy is used.
+
+    Raises:
+        ModuleNotFoundError: scipy or its LAPACK extension is not installed
+    """
+    loaded = sys.modules.get(_FLAPACK)
+    if loaded is not None:
+        return loaded
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    for root in scipy.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root, "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
+        if spec is not None:
+            break
+    else:
+        raise ModuleNotFoundError(f"No module named {_FLAPACK!r}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    # creating a single-phase extension registers it under its name
+    if sys.modules.get(_FLAPACK) is module:
+        del sys.modules[_FLAPACK]
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.solve_banded, imported on call.
+
+    The package never calls it: the name stays for the benchmark tracer,
+    which wraps `pde.solve_banded` and refuses to run without it.
+    """
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    return scipy_solve_banded(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from fva_pricer import (
     BadStrikes,
@@ -464,6 +465,46 @@ class TestTridiag:
                                            rhs).tobytes()
         for before, after in zip((lower, diag, upper, rhs), args):
             np.testing.assert_array_equal(before, after)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(3, 80), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["dominant", "pivoting", "singular"]))
+    def test_equals_public_lapack(self, n, seed, kind):
+        """`_tridiag` is scipy.linalg.lapack's dgtsv and `_solve_factored` its dgttrf
+        and dgttrs, bit for bit, and a singular system reports the same info."""
+        rng = np.random.default_rng(seed)
+        lower, upper, rhs = rng.normal(size=(3, n))
+        if kind == "dominant":
+            diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 2.0, n)) \
+                * rng.choice([-1.0, 1.0], n)
+        else:
+            # each sub-diagonal entry outweighs the diagonal above it: rows swap
+            diag = rng.normal(size=n)
+            lower[1:] = np.copysign(np.abs(diag[:-1]) + rng.uniform(0.5, 2.0, n - 1),
+                                    lower[1:])
+        if kind == "singular":
+            k = int(rng.integers(n))  # column k is zero
+            diag[k] = upper[k - 1] = 0.0
+            if k + 1 < n:
+                lower[k + 1] = 0.0
+        info = dgtsv(lower[1:], diag, upper[:-1], rhs)[4]
+        assert pde.dgtsv(lower[1:], diag, upper[:-1], rhs)[4] == info
+        *lu, lu_info = dgttrf(lower[1:], diag, upper[:-1])
+        assert pde.dgttrf(lower[1:], diag, upper[:-1])[5] == lu_info
+        if kind == "singular":
+            assert info > 0 and lu_info > 0
+            with pytest.raises(LinAlgError, match="singular matrix"):
+                _tridiag(lower, diag, upper, rhs)
+            with pytest.raises(LinAlgError, match="singular matrix"):
+                pde._solve_factored(kept_system(lower, diag, upper), rhs)
+            return
+        if kind == "pivoting":
+            assert lu[4][0] == 2  # gttrf swapped the first two rows
+        x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)[3:]
+        assert info == 0 and bits(_tridiag(lower, diag, upper, rhs)) == bits(x)
+        x, info = dgttrs(*lu, rhs)
+        assert info == 0 and bits(pde._solve_factored(kept_system(lower, diag, upper),
+                                                      rhs)) == bits(x)
 
     def test_nan_rhs_raises(self):
         ones = np.ones(5)
