@@ -98,14 +98,11 @@ def _load_flapack() -> ModuleType:
     scipy = importlib.util.find_spec("scipy")
     if scipy is None or not scipy.submodule_search_locations:
         raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    for root in scipy.submodule_search_locations:
-        finder = importlib.machinery.FileFinder(
-            os.path.join(root, "linalg"),
-            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
-        spec = finder.find_spec(_FLAPACK)
-        if spec is not None:
-            break
-    else:
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_FLAPACK)
+    if spec is None:
         raise ModuleNotFoundError(f"No module named {_FLAPACK!r}", name=_FLAPACK)
     module = importlib.util.module_from_spec(spec)
     # creating a single-phase extension registers it under its name
