@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, HaircutNotZero, NoConvergence, PriceOutOfBounds
+from .extensions import load_scipy_extension
 from .funding import select_financing
 from .market import FundingConfig, OptionKind, Side, _require_positive
 
@@ -25,16 +26,30 @@ VOL_LO = 1e-6
 VOL_HI = 5.0
 
 
-# scipy.special.erfc, imported by the first norm_cdf call: commands that
-# evaluate no closed form never load scipy.special
+# scipy.special.erfc, loaded by the first norm_cdf call: commands that
+# evaluate no closed form never load it
 _erfc = None
+
+
+def _load_erfc():
+    """scipy.special.erfc, taken from the extension module that defines it.
+
+    `extensions.load_scipy_extension` loads `scipy.special._special_ufuncs`
+    without importing scipy.special; the ufunc is the object scipy.special
+    exports.  A scipy whose erfc lives elsewhere imports scipy.special.
+    """
+    try:
+        return load_scipy_extension("special", "_special_ufuncs").erfc
+    except (ModuleNotFoundError, AttributeError):
+        from scipy.special import erfc
+        return erfc
 
 
 def norm_cdf(x):
     """Standard normal CDF via the complementary error function."""
     global _erfc
     if _erfc is None:
-        from scipy.special import erfc as _erfc
+        _erfc = _load_erfc()
     return 0.5 * _erfc(-np.asarray(x, dtype=float) / SQRT2)
 
 

@@ -38,10 +38,10 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   before the trapezoidal stepping takes over.
 
 gtsv, gttrf and gttrs are the f2py wrappers scipy.linalg.lapack re-exports,
-taken from scipy's LAPACK extension module, which is loaded from its file
-without importing any scipy package: a process that only solves PDEs skips
-the roughly 0.3 s those imports cost.  `LinAlgError` is numpy's, the class
-scipy.linalg raises.
+taken from scipy's LAPACK extension module `scipy.linalg._flapack`, which
+`extensions.load_scipy_extension` loads from its file without importing any
+scipy package: a process that only solves PDEs skips the roughly 0.3 s those
+imports cost.  `LinAlgError` is numpy's, the class scipy.linalg raises.
 
 A batch owns its workspace and shares nothing mutable; concurrent solves on
 different threads are safe.
@@ -49,20 +49,17 @@ different threads are safe.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Iterable, NoReturn
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import ConfigError, GridTooCoarse, NoConvergence
+from .extensions import load_scipy_extension
 from .funding import financing_arrays, select_financing  # noqa: F401  financing_arrays: traced
 from .market import FundingConfig, Portfolio, Side, _require_positive, terminal_payoff
 
@@ -80,39 +77,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 Job = tuple[Portfolio, Side, FundingConfig, "PdeGrid"]
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _load_flapack() -> ModuleType:
-    """scipy's LAPACK extension module, loaded from its file without importing scipy.
-
-    The module is not left in sys.modules, so a later import of scipy.linalg
-    loads it the usual way; once scipy.linalg is loaded, its copy is used.
-
-    Raises:
-        ModuleNotFoundError: scipy or its LAPACK extension is not installed
-    """
-    loaded = sys.modules.get(_FLAPACK)
-    if loaded is not None:
-        return loaded
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None or not scipy.submodule_search_locations:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
-    finder = importlib.machinery.FileFinder(
-        os.path.join(scipy.submodule_search_locations[0], "linalg"),
-        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_FLAPACK)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {_FLAPACK!r}", name=_FLAPACK)
-    module = importlib.util.module_from_spec(spec)
-    # creating a single-phase extension registers it under its name
-    if sys.modules.get(_FLAPACK) is module:
-        del sys.modules[_FLAPACK]
-    spec.loader.exec_module(module)
-    return module
-
-
-_flapack = _load_flapack()
+_flapack = load_scipy_extension("linalg", "_flapack")
 dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
 
 
