@@ -26,8 +26,7 @@ from .errors import (
 from .funding import FinancingSelection, FundingAccounts, funding_accounts, funding_term, \
     fva, select_financing
 from .market import FundingConfig, OptionLeg, Portfolio, Side, terminal_payoff, validate
-from .pde import PdeGrid, PricingResult, SolverParams, solve, solve_american, solve_many, \
-    solve_surface
+from .pde import PdeGrid, PricingResult, solve, solve_american, solve_many, solve_surface
 from .portfolio import NettingReport, build_strategy, netting_report, netting_reports, \
     quote, quote_many
 from .replication import AnalyticOracle, HedgeSummary, LedgerState, PdeOracle, \
@@ -61,7 +60,6 @@ __all__ = [
     "PricingError",
     "PricingResult",
     "Side",
-    "SolverParams",
     "SpreadQuote",
     "bs_price",
     "build_strategy",

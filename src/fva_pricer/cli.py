@@ -32,6 +32,7 @@ import click
 
 from .analytic import bs_price, closed_form, implied_vol, long_position_price
 from .errors import ConfigError, NoConvergence, PricingError
+from .funding import fva
 from .market import FundingConfig, OptionLeg, Portfolio, Side, _require_positive, \
     load_portfolio
 from .pde import PdeGrid, solve, solve_many
@@ -67,8 +68,12 @@ MAX_CURVE_SPREADS = 1000
 
 def _emit(text: str, output: str | None) -> None:
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {output}: {exc.strerror or exc}",
+                              field="output") from exc
     else:
         click.echo(text, nl=False)
 
@@ -315,8 +320,8 @@ def price(**kw) -> None:
         "bid": bid.price,
         "ask": ask.price,
         "mid_reference": mid.price,
-        "f_b": mid.price - bid.price,
-        "f_a": ask.price - mid.price,
+        "f_b": fva(Side.BID, bid.price, mid.price),
+        "f_a": fva(Side.ASK, ask.price, mid.price),
         "delta": greeks.delta,
         "gamma": greeks.gamma,
     }
@@ -349,11 +354,13 @@ def fva_curve(**kw) -> None:
     _require_positive(spread_step=step)
     if not (math.isfinite(top) and top >= 0):
         raise ConfigError(f"spread_max={top} must be finite and >= 0", field="spread_max")
-    if top / step > MAX_CURVE_SPREADS:
-        raise ConfigError(f"spread_max/spread_step={top / step:.6g} exceeds "
+    # the last spread n * step is at most spread_max, up to float rounding:
+    # 0.3 / 0.1 is 2.9999999999999996 and still sweeps 0.3
+    n = top / step * (1.0 + 1e-9)
+    if not n < MAX_CURVE_SPREADS:
+        raise ConfigError(f"spread_max/spread_step={top / step:.6g} sweeps more than "
                           f"{MAX_CURVE_SPREADS} spreads", field="spread_step")
-    n = int(round(top / step))
-    spreads = [i * step for i in range(n + 1)]
+    spreads = [i * step for i in range(math.floor(n) + 1)]
 
     # the solver's funding tolerance, 1e-10 * strike: a reference at or below it
     # is noise, and the adjustment would divide by it

@@ -37,6 +37,10 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   RANNACHER_STEPS implicit-Euler startup steps to damp the payoff kink
   before the trapezoidal stepping takes over.
 
+The engine takes no options: its limits (FUNDING_MAX_ITERS, MAX_TIME_STEPS,
+MAX_NODES, MAX_BLOCK_ROWS) are module constants, and a job is fully
+described by its portfolio, side, funding config and grid.
+
 gtsv, gttrf and gttrs are the f2py wrappers scipy.linalg.lapack re-exports,
 taken from scipy's LAPACK extension module `scipy.linalg._flapack`, which
 `extensions.load_scipy_extension` loads from its file without importing any
@@ -65,6 +69,10 @@ from .market import FundingConfig, Portfolio, Side, _require_positive, terminal_
 
 # most time steps one grid may take, so a tiny dt fails fast instead of running for hours
 MAX_TIME_STEPS = 100_000
+# most nodes one grid may have: a solve holds about 0.35 kB a row (0.45 kB for an
+# American book), so this bounds one job's workspace to about 45 MB, where 1e12
+# nodes would fail deep inside numpy; 50 times the largest default grid (2000)
+MAX_NODES = 100_000
 # most rows one batched solve holds (one job always fits): longer job lists run
 # block by block, which bounds the workspace to about 0.35 kB a row.  The time
 # per job stops falling from about 8000 rows on (see CHANGES.md); twice that
@@ -72,6 +80,9 @@ MAX_TIME_STEPS = 100_000
 MAX_BLOCK_ROWS = 16_384
 # initial steps run as two implicit half-steps each; 2 keeps the strike-node gamma clean
 RANNACHER_STEPS = 2
+# funding and exercise iterations one substep may take; its tolerance is
+# 1e-10 * max_strike of each book
+FUNDING_MAX_ITERS = 50
 # exp(x) overflows above this
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -142,12 +153,17 @@ class PdeGrid:
                 cell, where the grid cannot resolve its payoff kink; or
                 sigma * spot * sqrt(expiry) is below one cell, so the
                 expiry is too short for the grid to resolve.
+            ConfigError: a non-positive input, more than MAX_NODES nodes or
+                MAX_TIME_STEPS steps, or a grid span or spacing out of float range.
         """
         _require_positive(spot=spot, expiry=expiry, dt=dt)
         if not (max_strike > 0 and sigma > 0):
             raise ConfigError("max_strike and sigma must be > 0")
         if n_nodes < 16:
             raise GridTooCoarse(f"n_nodes={n_nodes} is too small")
+        if n_nodes > MAX_NODES:
+            raise ConfigError(f"nodes={n_nodes} exceeds the {MAX_NODES} nodes a grid may have",
+                              field="nodes")
         try:
             s_target = max(4.0 * max_strike, spot * math.exp(4.0 * sigma * math.sqrt(expiry)))
         except OverflowError:
@@ -199,20 +215,6 @@ class PdeGrid:
         return cls.build(spot, portfolio.max_strike, config.sigma, portfolio.expiry,
                          n_nodes=n_nodes, dt=dt,
                          min_strike=min(leg.strike for leg in portfolio.legs))
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Iteration budget of the funding and exercise iteration, per substep.
-
-    Its tolerance is 1e-10 * max_strike of each book.
-    """
-
-    funding_max_iters: int = 50
-
-    def __post_init__(self) -> None:
-        if self.funding_max_iters < 1:
-            raise ConfigError("funding_max_iters must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,11 +402,10 @@ class _Block:
     every member.
     """
 
-    def __init__(self, jobs: list[tuple[int, Job]], params: SolverParams, labelled: bool):
+    def __init__(self, jobs: list[tuple[int, Job]], labelled: bool):
         jobs = sorted(jobs, key=lambda ij: -ij[1][3].n_steps)
         self.index = [i for i, _ in jobs]
         self.jobs = [job for _, job in jobs]
-        self.params = params
         self.labelled = labelled
         grids = [job[3] for job in self.jobs]
         configs = [config.degenerate() if side is Side.RISK_FREE else config
@@ -620,7 +621,7 @@ class _Block:
         flips = int(np.count_nonzero(debt[rows] != old_debt[rows]))
         exercise = "" if not self.american[j] else \
             f", {int(np.count_nonzero(ex[rows] != old_ex[rows]))} exercise-set changes"
-        return (f"funding-boundary iteration exceeded {self.params.funding_max_iters} "
+        return (f"funding-boundary iteration exceeded {FUNDING_MAX_ITERS} "
                 f"iterations {self.where(j)}: last change {change:.3g} against "
                 f"tolerance {self.tol[j]:.3g}, {flips} indicator flips in the last "
                 f"iterate{exercise}")
@@ -695,7 +696,7 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
     iteration solves the unfinished members as one block system; a member is
     frozen once accepted.
     """
-    n, budget = b.n, b.params.funding_max_iters
+    n, budget = b.n, FUNDING_MAX_ITERS
     obstacle = b.obstacle
     ka = act.size
     msel, sel = slice(0, ka), slice(0, ka * n)
@@ -818,8 +819,7 @@ def _blocks(jobs: Iterable[Job]):
         yield block
 
 
-def solve_many(jobs: Iterable[Job], params: SolverParams = SolverParams()
-               ) -> list[PricingResult]:
+def solve_many(jobs: Iterable[Job]) -> list[PricingResult]:
     """Price every (portfolio, side, config, grid) job through one backward-induction loop.
 
     Each result equals the job's stand-alone solve bit for bit; European and
@@ -842,7 +842,7 @@ def solve_many(jobs: Iterable[Job], params: SolverParams = SolverParams()
             raise block
         labelled = len(block) > 1 or block[0][0] > 0
         try:
-            b = _Block(block, params, labelled)
+            b = _Block(block, labelled)
             b.run()
         except (ConfigError, NoConvergence) as exc:
             if len(block) == 1:
@@ -854,13 +854,13 @@ def solve_many(jobs: Iterable[Job], params: SolverParams = SolverParams()
         # the block stopped at the failure it met first, which need not be the first
         # submitted job's; a job fails in a batch exactly when it fails alone
         for job in block:
-            _Block([job], params, labelled).run()
+            _Block([job], labelled).run()
         raise error
     return results
 
 
 def solve(portfolio: Portfolio, side: Side, config: FundingConfig,
-          grid: PdeGrid, params: SolverParams = SolverParams()) -> PricingResult:
+          grid: PdeGrid) -> PricingResult:
     """Price a European book on one side of the market.
 
     Backward induction from U(S, T) = sign * payoff (cell-averaged at each
@@ -873,11 +873,11 @@ def solve(portfolio: Portfolio, side: Side, config: FundingConfig,
     """
     if portfolio.style != "european":
         raise ConfigError("solve() handles European books; use solve_american()")
-    return solve_many([(portfolio, side, config, grid)], params)[0]
+    return solve_many([(portfolio, side, config, grid)])[0]
 
 
 def solve_american(portfolio: Portfolio, side: Side, config: FundingConfig,
-                   grid: PdeGrid, params: SolverParams = SolverParams()) -> PricingResult:
+                   grid: PdeGrid) -> PricingResult:
     """Price an American book on one side of the market.
 
     The holder exercises optimally on either side: a long book satisfies
@@ -890,12 +890,11 @@ def solve_american(portfolio: Portfolio, side: Side, config: FundingConfig,
     """
     if portfolio.style != "american":
         raise ConfigError("solve_american() handles American books; use solve()")
-    return solve_many([(portfolio, side, config, grid)], params)[0]
+    return solve_many([(portfolio, side, config, grid)])[0]
 
 
 def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
-                  grid: PdeGrid, params: SolverParams = SolverParams()
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  grid: PdeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Solve a European book keeping every time slice.
 
     Returns (times_to_expiry, profiles): profiles[k] is the signed position
@@ -905,7 +904,7 @@ def solve_surface(portfolio: Portfolio, side: Side, config: FundingConfig,
     """
     if portfolio.style != "european":
         raise ConfigError("solve_surface() handles European books only")
-    b = _Block([(0, (portfolio, side, config, grid))], params, labelled=False)
+    b = _Block([(0, (portfolio, side, config, grid))], labelled=False)
     profiles = b.run(keep_slices=True)
     taus = np.arange(grid.n_steps + 1) * grid.dt
     return taus, np.asarray(profiles)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .analytic import BsQuote
 from .errors import BadStrikes
 from .market import FundingConfig, OptionLeg, Portfolio, Side
-from .pde import PdeGrid, SolverParams, solve_many
+from .pde import PdeGrid, solve_many
 from .pde import solve  # noqa: F401  the name the benchmark tracer reads
 
 STRATEGIES = ("bull", "straddle", "strangle", "strip")
@@ -56,9 +56,8 @@ class NettingReport:
         }
 
 
-def build_strategy(name: str, strikes: Sequence[float], expiry: float,
-                   style: str = "european") -> Portfolio:
-    """Standard strategies used in the netting studies.
+def build_strategy(name: str, strikes: Sequence[float], expiry: float) -> Portfolio:
+    """Standard strategies used in the netting studies, every leg European.
 
     bull(k1 < k2):    +1 call k1, -1 call k2
     straddle(k):      +1 call k, +1 put k
@@ -69,26 +68,26 @@ def build_strategy(name: str, strikes: Sequence[float], expiry: float,
     if name == "bull":
         if len(ks) != 2 or not ks[0] < ks[1]:
             raise BadStrikes(f"bull needs two strikes k1 < k2, got {ks}")
-        legs = (OptionLeg("call", ks[0], 1.0, style), OptionLeg("call", ks[1], -1.0, style))
+        legs = (OptionLeg("call", ks[0], 1.0), OptionLeg("call", ks[1], -1.0))
     elif name == "straddle":
         if len(ks) != 1:
             raise BadStrikes(f"straddle needs one strike, got {ks}")
-        legs = (OptionLeg("call", ks[0], 1.0, style), OptionLeg("put", ks[0], 1.0, style))
+        legs = (OptionLeg("call", ks[0], 1.0), OptionLeg("put", ks[0], 1.0))
     elif name == "strangle":
         if len(ks) != 2 or not ks[0] < ks[1]:
             raise BadStrikes(f"strangle needs put strike < call strike, got {ks}")
-        legs = (OptionLeg("put", ks[0], 1.0, style), OptionLeg("call", ks[1], 1.0, style))
+        legs = (OptionLeg("put", ks[0], 1.0), OptionLeg("call", ks[1], 1.0))
     elif name == "strip":
         if len(ks) != 1:
             raise BadStrikes(f"strip needs one strike, got {ks}")
-        legs = (OptionLeg("call", ks[0], 1.0, style), OptionLeg("put", ks[0], 2.0, style))
+        legs = (OptionLeg("call", ks[0], 1.0), OptionLeg("put", ks[0], 2.0))
     else:
         raise BadStrikes(f"unknown strategy {name!r}; choose from {STRATEGIES}")
     return Portfolio(legs=legs, expiry=expiry)
 
 
-def quote_many(books: Iterable[tuple[Portfolio, FundingConfig, PdeGrid]],
-               params: SolverParams = SolverParams()) -> list[tuple[BsQuote, BsQuote]]:
+def quote_many(books: Iterable[tuple[Portfolio, FundingConfig, PdeGrid]]
+               ) -> list[tuple[BsQuote, BsQuote]]:
     """Bid and ask of each (portfolio, config, grid) book, each with the greeks of
     its quoted price, every solve of every book in one batch (`pde.solve_many`).
 
@@ -108,7 +107,7 @@ def quote_many(books: Iterable[tuple[Portfolio, FundingConfig, PdeGrid]],
             if both[-1]:
                 yield portfolio, Side.ASK, config, grid
 
-    results = iter(solve_many(jobs(), params))
+    results = iter(solve_many(jobs()))
     quotes = []
     for two_sided in both:
         res = next(results)
@@ -121,14 +120,14 @@ def quote_many(books: Iterable[tuple[Portfolio, FundingConfig, PdeGrid]],
     return quotes
 
 
-def quote(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
-          params: SolverParams = SolverParams()) -> tuple[BsQuote, BsQuote]:
+def quote(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid
+          ) -> tuple[BsQuote, BsQuote]:
     """Bid and ask of one book; see `quote_many`."""
-    return quote_many([(portfolio, config, grid)], params)[0]
+    return quote_many([(portfolio, config, grid)])[0]
 
 
-def netting_reports(books: Iterable[tuple[Portfolio, PdeGrid]], config: FundingConfig,
-                    params: SolverParams = SolverParams()) -> list[NettingReport]:
+def netting_reports(books: Iterable[tuple[Portfolio, PdeGrid]], config: FundingConfig
+                    ) -> list[NettingReport]:
     """Netted book prices versus the synthetic sum of stand-alone legs, for each
     (portfolio, grid) book, every quote in one batch.
 
@@ -147,7 +146,7 @@ def netting_reports(books: Iterable[tuple[Portfolio, PdeGrid]], config: FundingC
                                  expiry=portfolio.expiry)
                 yield unit, config, grid
 
-    quotes = iter(quote_many(quoted(), params))
+    quotes = iter(quote_many(quoted()))
     reports = []
     for book_legs in legs:
         netted_bid, netted_ask = next(quotes)
@@ -166,7 +165,7 @@ def netting_reports(books: Iterable[tuple[Portfolio, PdeGrid]], config: FundingC
     return reports
 
 
-def netting_report(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid,
-                   params: SolverParams = SolverParams()) -> NettingReport:
+def netting_report(portfolio: Portfolio, config: FundingConfig, grid: PdeGrid
+                   ) -> NettingReport:
     """Netted versus leg-by-leg pricing of one book; see `netting_reports`."""
-    return netting_reports([(portfolio, grid)], config, params)[0]
+    return netting_reports([(portfolio, grid)], config)[0]

@@ -27,15 +27,24 @@ from . import analytic
 from .errors import ConfigError, HaircutNotZero, OracleUnavailable
 from .funding import financing_arrays
 from .market import FundingConfig, OptionLeg, Portfolio, Side, _require_positive
-from .pde import MAX_TIME_STEPS, PdeGrid, SolverParams, solve_surface
+from .pde import MAX_TIME_STEPS, PdeGrid, solve_surface
+
+# most paths one simulation may take: the hedge loop holds about 155 bytes a
+# path, so this bounds it to about 155 MB, where 1e12 paths would fail deep
+# inside numpy; 100 times the default of 10 000
+MAX_PATHS = 1_000_000
 
 
 def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int = 1) -> None:
-    """Reject a non-finite or non-positive spot or expiry, or fewer than one step or path."""
+    """Reject a non-finite or non-positive spot or expiry, fewer than one step or
+    path, or more than MAX_PATHS paths."""
     _require_positive(spot=spot, expiry=expiry)
     for name, value in (("steps", n_steps), ("paths", n_paths)):
         if value < 1:
             raise ConfigError(f"{name}={value} must be >= 1", field=name)
+    if n_paths > MAX_PATHS:
+        raise ConfigError(f"paths={n_paths} exceeds the {MAX_PATHS} paths a simulation "
+                          "may take", field="paths")
 
 
 class PricingOracle(Protocol):
@@ -136,8 +145,7 @@ class PdeOracle:
     """
 
     def __init__(self, option: OptionLeg, spot: float, expiry: float, side: Side,
-                 config: FundingConfig, n_steps: int, n_nodes: int = 1000,
-                 params: SolverParams = SolverParams()):
+                 config: FundingConfig, n_steps: int, n_nodes: int = 1000):
         if option.style != "european":
             raise OracleUnavailable("hedge simulation covers European options only")
         _check_hedge_inputs(spot, expiry, n_steps)
@@ -148,7 +156,7 @@ class PdeOracle:
         grid = PdeGrid.build(spot, option.strike, config.sigma, expiry,
                              n_nodes=n_nodes, dt=expiry / n_steps)
         self.grid = grid
-        self.taus, self.profiles = solve_surface(portfolio, side, config, grid, params)
+        self.taus, self.profiles = solve_surface(portfolio, side, config, grid)
         self.slopes = np.gradient(self.profiles, grid.ds, axis=1)
         self._bounds = np.append(grid.s_nodes, np.inf)  # the fix-up reads one past the top
 
@@ -224,8 +232,9 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
 
     Raises:
         ConfigError: a non-finite or non-positive spot or expiry, n_steps or
-            n_paths below 1, a non-finite mu, a negative seed, or inputs
-            that take the accrual or the terminal wealth out of range
+            n_paths below 1, n_paths above MAX_PATHS, a non-finite mu, a
+            negative seed, or inputs that take the accrual or the terminal
+            wealth out of range
     """
     _check_hedge_inputs(spot, expiry, n_steps, n_paths)
     if not math.isfinite(mu):

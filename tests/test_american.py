@@ -9,7 +9,6 @@ from fva_pricer import (
     PdeGrid,
     Portfolio,
     Side,
-    SolverParams,
     solve,
     solve_american,
 )
@@ -81,18 +80,17 @@ class TestAmericanErrors:
             solve_american(Portfolio.single("put", STRIKE, EXPIRY),
                            Side.RISK_FREE, classic_config, coarse_grid)
 
-    def test_sweep_budget_exhaustion_raises(self, classic_config, coarse_grid):
-        params = SolverParams(funding_max_iters=1)
+    def test_sweep_budget_exhaustion_raises(self, classic_config, coarse_grid,
+                                            monkeypatch):
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence):
-            solve_american(american("put"), Side.RISK_FREE, classic_config,
-                           coarse_grid, params)
+            solve_american(american("put"), Side.RISK_FREE, classic_config, coarse_grid)
 
     def test_sweep_budget_error_says_where_it_stopped(self, classic_config,
-                                                      coarse_grid):
-        params = SolverParams(funding_max_iters=1)
+                                                      coarse_grid, monkeypatch):
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence) as info:
-            solve_american(american("put"), Side.RISK_FREE, classic_config,
-                           coarse_grid, params)
+            solve_american(american("put"), Side.RISK_FREE, classic_config, coarse_grid)
         message = str(info.value)
         # the coarse grid's first step ends at t = 2 - 0.04
         assert message.startswith(
@@ -109,8 +107,7 @@ def stepped_systems(side, config, grid):
     the substep ends on, the right-hand side built from the level it starts
     from, and the level it produced.
     """
-    b = pde._Block([(0, (american("put"), side, config, grid))], SolverParams(),
-                   labelled=False)
+    b = pde._Block([(0, (american("put"), side, config, grid))], labelled=False)
     whole, member = slice(0, b.K), slice(0, 1)
     for step in range(grid.n_steps):
         b.step = step

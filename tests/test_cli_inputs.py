@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fva_pricer import pde
+from fva_pricer import cli, pde, replication
 from fva_pricer.cli import main
 
 FUNDED = ["--borrow-spread", "0.03", "--repo-spread", "0.005",
@@ -358,3 +358,76 @@ def test_simulate_config_file_has_no_format_key(tmp_path):
     result = invoke(["simulate", "--kind", "put", "--seed", "1", "--config", str(cfg)])
     assert result.exit_code == 2
     assert result.stderr == "error: --config: ConfigError, unknown key 'format'\n"
+
+
+def swept_spreads(args):
+    """The spreads of each fva-curve case, in the order printed."""
+    result = invoke(["fva-curve", *args])
+    assert result.exit_code == 0, result.output
+    spreads = {}
+    for line in result.stdout.splitlines()[2:]:
+        case, spread, _ = line.split(",")
+        spreads.setdefault(case, []).append(float(spread))
+    return spreads
+
+
+@pytest.mark.parametrize("top,step,count", [
+    ("0.05", "0.03", 2),   # round(0.05 / 0.03) = 2 would sweep 0.06
+    ("0.3", "0.1", 4),     # 0.3 / 0.1 = 2.9999999999999996 still sweeps 0.3
+    ("0.04", "0.01", 5),
+    ("0.029", "0.01", 3),
+    ("0", "0.01", 1),
+])
+def test_fva_curve_sweeps_no_spread_past_spread_max(top, step, count):
+    spreads = swept_spreads(["--spread-max", top, "--spread-step", step])
+    assert len(spreads) == 4
+    for swept in spreads.values():
+        assert len(swept) == count
+        assert swept[-1] <= float(top) * (1.0 + 1e-9)
+
+
+def test_fva_curve_spread_cap_counts_the_spreads_swept(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CURVE_SPREADS", 4)
+    # 0.03 / 0.01 sweeps 0, 0.01, 0.02 and 0.03: four spreads
+    assert all(len(s) == 4 for s in swept_spreads(["--spread-max", "0.03",
+                                                   "--spread-step", "0.01"]).values())
+    # 0.04 / 0.01 = 4 sweeps five
+    result = invoke(["fva-curve", "--spread-max", "0.04", "--spread-step", "0.01"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: --spread-step: ConfigError, ")
+
+
+@pytest.mark.parametrize("args", [
+    ["price", "--kind", "put", "--engine", "analytic"],
+    ["table1", "--nodes", "200", "--dt", "0.05"],
+    ["simulate", "--kind", "put", "--seed", "1", "--paths", "8", "--steps", "4"],
+])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_exits_2_naming_output(tmp_path, args, target):
+    output = tmp_path / "missing" / "out.csv" if target == "missing" else tmp_path
+    result = invoke([*args, "--output", str(output)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: --output: ConfigError, cannot write {output}: ")
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["price", "--kind", "put", "--nodes", "1000000000000"], "--nodes"),
+    # the grid np.arange would build fails its own spacing check from ~1e7 nodes on
+    (["price", "--kind", "put", "--nodes", "100000000", "--dt", "1"], "--nodes"),
+    (["price", "--kind", "put", "--nodes", str(pde.MAX_NODES + 1), "--dt", "1"], "--nodes"),
+    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde",
+      "--nodes", "1000000000000", "--steps", "2"], "--nodes"),
+    (["simulate", "--kind", "put", "--seed", "1", "--paths", "1000000000000",
+      "--steps", "2"], "--paths"),
+    (["simulate", "--kind", "put", "--seed", "1", "--paths", str(replication.MAX_PATHS + 1),
+      "--steps", "2"], "--paths"),
+])
+def test_sizes_above_their_cap_exit_2_before_allocating(args, flag):
+    start = time.perf_counter()
+    result = invoke(args)
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {flag}: ConfigError, ")

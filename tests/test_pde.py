@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fva_pricer import (
     PdeGrid,
     Portfolio,
     Side,
-    SolverParams,
     bs_price,
     long_position_price,
     solve,
@@ -290,30 +290,26 @@ class TestFundedSolves:
 
 
 class TestSolverErrors:
-    def test_exhausted_funding_iterations_raise(self, coarse_grid):
+    def test_exhausted_funding_iterations_raise(self, coarse_grid, monkeypatch):
         cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
                           sec_haircut=0.15)
         book = Portfolio(legs=(OptionLeg("call", 95.0, 1.0),
                                OptionLeg("call", 105.0, -1.0)), expiry=EXPIRY)
-        params = SolverParams(funding_max_iters=1)
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence):
-            solve(book, Side.BID, cfg, coarse_grid, params)
+            solve(book, Side.BID, cfg, coarse_grid)
 
-    def test_exhausted_budget_says_where_it_stopped(self, coarse_grid):
+    def test_exhausted_budget_says_where_it_stopped(self, coarse_grid, monkeypatch):
         cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
                           sec_haircut=0.15)
-        params = SolverParams(funding_max_iters=1)
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence) as info:
-            solve(single("put"), Side.BID, cfg, coarse_grid, params)
+            solve(single("put"), Side.BID, cfg, coarse_grid)
         message = str(info.value)
         # the coarse grid's first step ends at t = 2 - 0.04
         assert "exceeded 1 iterations at step 0 (t=1.96)" in message
         assert re.search(r"last change \S+ against tolerance 1e-08, \d+ indicator "
                          r"flips in the last iterate$", message), message
-
-    def test_empty_funding_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            SolverParams(funding_max_iters=0)
 
     def test_american_legs_rejected_by_european_solver(self, classic_config,
                                                        coarse_grid):
@@ -360,8 +356,7 @@ OPERATOR_CONFIGS = {
 
 def one_block(config, grid, book=None, side=Side.BID):
     """The batch state of one job."""
-    return pde._Block([(0, (book or single("put"), side, config, grid))], SolverParams(),
-                      labelled=False)
+    return pde._Block([(0, (book or single("put"), side, config, grid))], labelled=False)
 
 
 class TestCellAveragedPayoff:
@@ -384,8 +379,7 @@ class TestCellAveragedPayoff:
     def test_american_obstacle_stays_the_raw_payoff(self, classic_config, coarse_grid):
         book = Portfolio.single("put", STRIKE, EXPIRY, style="american")
         for side in (Side.BID, Side.ASK):
-            b = pde._Block([(0, (book, side, classic_config, coarse_grid))], SolverParams(),
-                           labelled=False)
+            b = pde._Block([(0, (book, side, classic_config, coarse_grid))], labelled=False)
             raw = side.position_sign * terminal_payoff(book, coarse_grid.s_nodes)
             assert b.obstacle.tobytes() == raw.tobytes()
             assert b.u.tobytes() == (side.position_sign * pde._cell_averaged_payoff(
@@ -404,7 +398,7 @@ class TestRegionTables:
                                n_nodes=400, dt=0.04) for name in names]
         b = pde._Block([(i, (single("put"), Side.BID, OPERATOR_CONFIGS[name], grid))
                         for i, (name, grid) in enumerate(zip(names, grids))],
-                       SolverParams(), labelled=True)
+                       labelled=True)
         region = np.random.default_rng(seed).integers(0, 4, b.K)
         idx, combo = b.indices(region, b.rows, slice(0, b.k), b.k)
         gathered = [table.take(idx) for table in b.raw]
@@ -551,7 +545,7 @@ def confirming_substep(b, act, kind):
     idx, combo = b.indices(b.region, b.rows, member, 1)
     rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
     region, arg, debt, ex, u_prev = b.region, b.arg, b.debt, b.ex, b.u
-    for _ in range(b.params.funding_max_iters):
+    for _ in range(pde.FUNDING_MAX_ITERS):
         if b.upwind is not None:
             b.count_upwind(idx, member, 1)
         lo, di, up = b.system(idx, combo, kind)
@@ -610,7 +604,8 @@ class TestRepeatSkip:
         config = SKIP_CONFIGS[name]
         grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=200, dt=0.1)
         book = AMERICAN_PUT if entry == "solve_american" else BULL
-        args = (book, side, config, grid, SolverParams(funding_max_iters=budget))
+        args = (book, side, config, grid)
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", budget)
         got = fingerprint(entry, args)
         monkeypatch.setattr(pde, "_substep", confirming_substep)
         assert got == fingerprint(entry, args)
@@ -672,11 +667,11 @@ def batch_jobs(draw):
     return jobs
 
 
-def alone(job, params):
+def alone(job):
     """The job's stand-alone solve, or the error it raises."""
     run = solve_american if job[0].style == "american" else solve
     try:
-        return run(*job, params)
+        return run(*job)
     except NoConvergence as exc:
         return exc
 
@@ -692,18 +687,19 @@ class TestBatch:
     @settings(max_examples=40, deadline=None)
     @given(jobs=batch_jobs(), budget=st.sampled_from([2, 3, 50]))
     def test_members_equal_their_own_solves(self, jobs, budget):
-        params = SolverParams(funding_max_iters=budget)
-        singles = [alone(job, params) for job in jobs]
-        failed = [(i, out) for i, out in enumerate(singles) if isinstance(out, Exception)]
-        if failed:
-            index, first = failed[0]
-            with pytest.raises(NoConvergence) as info:
-                solve_many(jobs, params)
-            label = f"job {index} (" if len(jobs) > 1 else ""
-            assert str(info.value).startswith(label)
-            assert str(info.value).endswith(str(first))
-            return
-        batch = solve_many(jobs, params)
+        # a function-scoped monkeypatch would not be undone between examples
+        with patch.object(pde, "FUNDING_MAX_ITERS", budget):
+            singles = [alone(job) for job in jobs]
+            failed = [(i, out) for i, out in enumerate(singles) if isinstance(out, Exception)]
+            if failed:
+                index, first = failed[0]
+                with pytest.raises(NoConvergence) as info:
+                    solve_many(jobs)
+                label = f"job {index} (" if len(jobs) > 1 else ""
+                assert str(info.value).startswith(label)
+                assert str(info.value).endswith(str(first))
+                return
+            batch = solve_many(jobs)
         assert [result_bytes(r) for r in batch] == [result_bytes(r) for r in singles]
 
     @pytest.mark.parametrize("k", range(1, 21))
@@ -746,17 +742,18 @@ class TestBatch:
         with pytest.raises(ConfigError, match="one node count"):
             solve_many(jobs)
 
-    def test_exhausted_budget_names_its_job(self, coarse_grid):
+    def test_exhausted_budget_names_its_job(self, coarse_grid, monkeypatch):
         cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
                           sec_haircut=0.15)
         jobs = [(single("put"), side, cfg, coarse_grid) for side in (Side.BID, Side.ASK)]
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence) as info:
-            solve_many(jobs, SolverParams(funding_max_iters=1))
+            solve_many(jobs)
         assert str(info.value).startswith(
             "job 0 (bid: +1 put 100; european, expiry 2): funding-boundary iteration "
             "exceeded 1 iterations at step 0 (t=1.96): last change ")
 
-    def test_first_submitted_failure_wins(self, coarse_grid):
+    def test_first_submitted_failure_wins(self, coarse_grid, monkeypatch):
         """The batch runs the longer job first; the error raised is still the
         one of the job submitted first."""
         cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
@@ -764,21 +761,23 @@ class TestBatch:
         short = PdeGrid.build(SPOT, STRIKE, VOL, 0.5, n_nodes=500, dt=0.04)
         jobs = [(single("put", expiry=0.5), Side.BID, cfg, short),
                 (single("put"), Side.ASK, cfg, coarse_grid)]
-        params = SolverParams(funding_max_iters=1)
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence, match=r"^job 0 \(bid: \+1 put 100; european, "
                                                 r"expiry 0.5\): .* at step 0 \(t=0.461538\)"):
-            solve_many(jobs, params)
+            solve_many(jobs)
 
     def test_error_of_the_job_iterable_comes_after_the_jobs_before_it(self, coarse_grid,
-                                                                     classic_config):
+                                                                     classic_config,
+                                                                     monkeypatch):
         def jobs():
             yield single("put"), Side.BID, classic_config, coarse_grid
             raise BadStrikes("the second job could not be built")
 
         with pytest.raises(BadStrikes):
             solve_many(jobs())
+        monkeypatch.setattr(pde, "FUNDING_MAX_ITERS", 1)
         with pytest.raises(NoConvergence):
-            solve_many(jobs(), SolverParams(funding_max_iters=1))
+            solve_many(jobs())
 
 
 class TestScale:
