@@ -31,7 +31,8 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   which do gtsv's operations and so give its bits,
 * zero-gamma boundary conditions imposed by writing the convection-reaction
   equation at the half node nearest each boundary, which keeps the system
-  tridiagonal,
+  tridiagonal; the boundary node takes that half node's funding region, so
+  each boundary row, like every other row, lies in one region,
 * American exercise as a second active set of that loop, its rows pinned to the obstacle,
 * a terminal payoff averaged over the cell of each strike's node, and
   RANNACHER_STEPS implicit-Euler startup steps to damp the payoff kink
@@ -160,7 +161,7 @@ class PdeGrid:
         if not (max_strike > 0 and sigma > 0):
             raise ConfigError("max_strike and sigma must be > 0")
         if n_nodes < 16:
-            raise GridTooCoarse(f"n_nodes={n_nodes} is too small")
+            raise GridTooCoarse(f"n_nodes={n_nodes} is too small", field="nodes")
         if n_nodes > MAX_NODES:
             raise ConfigError(f"nodes={n_nodes} exceeds the {MAX_NODES} nodes a grid may have",
                               field="nodes")
@@ -173,7 +174,7 @@ class PdeGrid:
         if m < 2:
             raise GridTooCoarse(
                 f"{n_nodes} nodes cannot place spot {spot} on an interior node "
-                f"of [0, {s_target:.6g}]")
+                f"of [0, {s_target:.6g}]", field="nodes")
         steps = expiry / dt
         if not steps <= MAX_TIME_STEPS:
             raise ConfigError(f"expiry/dt={steps:.6g} time steps exceed {MAX_TIME_STEPS}",
@@ -193,10 +194,11 @@ class PdeGrid:
                 return
             try:  # the spot node floor(spot * (n - 1) / s_target) must reach spot / length
                 count = math.ceil(math.ceil(spot / length) * s_target / spot) + 1
-                need = f"about {count:.6g} nodes"
             except (OverflowError, ZeroDivisionError):
-                need = "more nodes than a float can count"
-            raise GridTooCoarse(f"{what}; resolving it takes {need}", field="nodes")
+                count = math.inf
+            need = f"resolving it takes about {count} nodes" if count <= MAX_NODES else \
+                f"no grid within the {MAX_NODES}-node cap resolves it"
+            raise GridTooCoarse(f"{what}; {need}", field="nodes")
 
         strike = max_strike if min_strike is None else min_strike
         require_cell(strike, f"strike {strike:.6g} lies inside the first grid cell [0, {ds:.6g})")
@@ -454,19 +456,17 @@ class _Block:
         self.upwind = upwind.astype(np.int8).ravel() if upwind.any() else None
         self.upwinded = np.zeros(k, dtype=np.intp)
 
-        # half-node coefficients of each member's two boundary rows, for each of
-        # the 16 region-code pairs of the two nodes flanking the half node;
-        # entry 32 * member + 16 * (last row) + 4 * code(outer) + code(inner)
-        outer, inner = np.divmod(np.arange(16), 4)
-        first, last = starts[:, None], ends[:, None]
-        half_a = np.stack([0.5 * (a_conv[outer, first] + a_conv[inner, first + 1]),
-                           0.5 * (a_conv[outer, last - 1] + a_conv[inner, last])], axis=1)
-        half_rho = 0.5 * (rho[:, outer] + rho[:, inner])
-        half_rho = np.stack([half_rho, half_rho], axis=1)
+        # half-node coefficients of each member's two boundary rows in each funding
+        # region, which `pattern` gives the boundary node; entry 8 * member +
+        # 4 * (last row) + region
+        region, first, last = np.arange(4), starts[:, None], ends[:, None]
+        half_a = np.stack([0.5 * (a_conv[region, first] + a_conv[region, first + 1]),
+                           0.5 * (a_conv[region, last - 1] + a_conv[region, last])], axis=1)
+        half_rho = np.stack([rho, rho], axis=1)
         self.half_a, self.half_rho = half_a.ravel(), half_rho.ravel()
-        self.combo_base = np.arange(k) * 32 + np.array([[0], [16]])
+        self.combo_base = np.arange(k) * 8 + np.array([[0], [4]])
 
-        # per substep kind: dts and the two boundary rows of each region pair;
+        # per substep kind: dts and the two boundary rows of each region;
         # `system` builds the implicit system of each region for one kind at a time
         self.dts, self.two_dts, self.plus, self.minus = [], [], [], []
         self.lhs_kind, self.lhs = None, None
@@ -483,7 +483,7 @@ class _Block:
             self.plus.append((c0 + ta + tr).ravel())
             self.minus.append((c0 - ta + tr).ravel())
 
-        self.region, self.arg, self.debt = self.pattern(self.u, slice(0, K), slice(0, k), k)
+        self.region, self.arg = self.pattern(self.u, slice(0, K), slice(0, k), k)
         self.boundary: list[list[tuple[float, float]]] = [[] for _ in range(k)]
         self.step = 0
         # a member whose value grows past float range over its life (a stock drift
@@ -502,9 +502,7 @@ class _Block:
         member's two boundary rows into the half-node tables."""
         idx = region * self.K
         idx += rows
-        r = region.take(self.bpos[:, :ka])
-        combo = 4 * r[0::2]
-        combo += r[1::2]
+        combo = region.take(self.ends[:, :ka])
         combo += self.combo_base[:, msel]
         return idx, combo
 
@@ -562,10 +560,12 @@ class _Block:
         A_di[last] = minus[1]
         return A_lo, A_di, A_up
 
-    def pattern(self, x: np.ndarray, sel, msel, ka: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(region, arg, debt) of iterate x: per node 2 * debt + (stock holding >= 0),
-        the debt basis arg = U - h * S * dU/dS, and debt = arg > 0."""
+    def pattern(self, x: np.ndarray, sel, msel, ka: int) -> tuple[np.ndarray, np.ndarray]:
+        """(region, arg) of iterate x: per node 2 * debt + (stock holding >= 0) and
+        the debt basis arg = U - h * S * dU/dS.  A node is in debt where arg > 0, but
+        a boundary node takes the region of the half node where its row's equation
+        lies: the holding of its edge slope, the half node's slope, and debt where
+        arg summed over the two nodes flanking the half node is > 0."""
         slope = np.empty_like(x)
         inner = slope[1:-1]
         np.subtract(x[2:], x[:-2], out=inner)
@@ -579,9 +579,11 @@ class _Block:
         hs *= slope
         arg = x - hs
         debt = arg > 0.0
+        ab = arg.take(self.bpos[:, :ka])
+        debt[self.ends[:, :ka]] = ab[0::2] + ab[1::2] > 0.0
         region = 2 * debt
         region += long_stock
-        return region, arg, debt
+        return region, arg
 
     def count_upwind(self, idx: np.ndarray, msel, ka: int) -> None:
         counts = np.add.reduceat(self.upwind.take(idx), self.ends[0, :ka], dtype=np.intp)
@@ -615,10 +617,10 @@ class _Block:
         gap = np.maximum(arg[rows], 0.0) - np.maximum(old_arg[rows], 0.0)
         return self.spread[j] * float(np.max(np.abs(gap))) < self.tol[j]
 
-    def no_convergence(self, j: int, rows: slice, change: float, debt: np.ndarray,
-                       old_debt: np.ndarray, ex: np.ndarray, old_ex: np.ndarray) -> str:
+    def no_convergence(self, j: int, rows: slice, change: float, region: np.ndarray,
+                       old_region: np.ndarray, ex: np.ndarray, old_ex: np.ndarray) -> str:
         """Budget-exhausted message naming the step, the last change and the flips."""
-        flips = int(np.count_nonzero(debt[rows] != old_debt[rows]))
+        flips = int(np.count_nonzero((region[rows] >= 2) != (old_region[rows] >= 2)))
         exercise = "" if not self.american[j] else \
             f", {int(np.count_nonzero(ex[rows] != old_ex[rows]))} exercise-set changes"
         return (f"funding-boundary iteration exceeded {FUNDING_MAX_ITERS} "
@@ -626,19 +628,18 @@ class _Block:
                 f"tolerance {self.tol[j]:.3g}, {flips} indicator flips in the last "
                 f"iterate{exercise}")
 
-    def store(self, sel, x, region, arg, debt, ex) -> None:
+    def store(self, sel, x, region, arg, ex) -> None:
         if isinstance(sel, slice) and sel.stop == self.K:
-            self.u, self.region, self.arg, self.debt, self.ex = x, region, arg, debt, ex
+            self.u, self.region, self.arg, self.ex = x, region, arg, ex
         else:
-            self.u[sel], self.region[sel], self.arg[sel] = x, region, arg
-            self.debt[sel], self.ex[sel] = debt, ex
+            self.u[sel], self.region[sel], self.arg[sel], self.ex[sel] = x, region, arg, ex
 
     def record_boundary(self, ka: int) -> None:
         """Store the indicator switch points of each funded member among the first
         `ka`, from its converged slice."""
         n = self.n
         sel = slice(0, ka * n)
-        debt = self.debt[sel]
+        debt = self.region[sel] >= 2
         flips = debt[1:] != debt[:-1]
         flips[n - 1::n] = False  # seams between members
         arg, s = self.arg[sel], self.s[sel]
@@ -700,7 +701,7 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
     obstacle = b.obstacle
     ka = act.size
     msel, sel = slice(0, ka), slice(0, ka * n)
-    u_prev, region, arg, debt, ex = b.u[sel], b.region[sel], b.arg[sel], b.debt[sel], b.ex[sel]
+    u_prev, region, arg, ex = b.u[sel], b.region[sel], b.arg[sel], b.ex[sel]
     rows = b.rows[sel]
     # the indices the last substep gathered with still hold if it ended on them,
     # and so do its coefficients, its system of the same kind and that system's factors
@@ -742,10 +743,10 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
             new_ex = sign * (x - obstacle[sel]) <= sign * _residual(*A, x, rhs)
             if b.exercisable is not None:
                 new_ex &= b.exercisable[sel]
-        new_region, new_arg, new_debt = b.pattern(x, sel, msel, ka)
+        new_region, new_arg = b.pattern(x, sel, msel, ka)
         if it + 1 < budget and not (new_region != region).any() and (
                 obstacle is None or not (new_ex != ex).any()):
-            b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+            b.store(sel, x, new_region, new_arg, new_ex)
             b.kept = kept
             return
         # member by member: the repeat rule, else the convergence test
@@ -761,27 +762,25 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
             accept[j] = b.converged(int(act[j]), slice(j * n, (j + 1) * n), change[j],
                                     new_region, new_arg, region, arg)
         if accept.all():
-            b.store(sel, x, new_region, new_arg, new_debt, new_ex)
+            b.store(sel, x, new_region, new_arg, new_ex)
             return
         if accept.any():
             done = np.repeat(accept, n)
-            b.store(rows[done], x[done], new_region[done], new_arg[done],
-                    new_debt[done], new_ex[done])
+            b.store(rows[done], x[done], new_region[done], new_arg[done], new_ex[done])
         keep = ~accept
         it += 1
         if it == budget:
             j = int(np.flatnonzero(keep)[0])
             m = int(act[j])
             b.fail(m, NoConvergence, b.no_convergence(
-                m, slice(j * n, (j + 1) * n), change[j], new_debt, debt, new_ex, ex))
-        u_prev, region, arg, debt, ex = x, new_region, new_arg, new_debt, new_ex
+                m, slice(j * n, (j + 1) * n), change[j], new_region, region, new_ex, ex))
+        u_prev, region, arg, ex = x, new_region, new_arg, new_ex
         if not keep.all():
             # carry only the unfinished members into the next iteration
             live = np.repeat(keep, n)
             act, rows = act[keep], rows[live]
             msel, sel, ka = act, rows, act.size
-            u_prev, region, arg, debt, ex, rhs = (
-                a[live] for a in (u_prev, region, arg, debt, ex, rhs))
+            u_prev, region, arg, ex, rhs = (a[live] for a in (u_prev, region, arg, ex, rhs))
         idx, combo = b.indices(region, rows, msel, ka)
         kept = _Kept(sel, idx, combo) if isinstance(sel, slice) else None
 

@@ -33,6 +33,11 @@ from .pde import MAX_TIME_STEPS, PdeGrid, solve_surface
 # path, so this bounds it to about 155 MB, where 1e12 paths would fail deep
 # inside numpy; 100 times the default of 10 000
 MAX_PATHS = 1_000_000
+# most values, (steps + 1) * nodes, one PDE surface may hold: building one peaks at
+# 24 bytes a value (the solver's slices, their stacked copy and the slopes), 16 of
+# them kept, so this bounds it to about 240 MB, where 1e5 steps on 1e5 nodes would
+# ask for some 240 GB; 40 times the default surface of 251 slices of 1000 nodes
+MAX_SURFACE_VALUES = 10_000_000
 
 
 def _check_hedge_inputs(spot: float, expiry: float, n_steps: int, n_paths: int = 1) -> None:
@@ -155,6 +160,11 @@ class PdeOracle:
         portfolio = Portfolio(legs=(option,), expiry=expiry)
         grid = PdeGrid.build(spot, option.strike, config.sigma, expiry,
                              n_nodes=n_nodes, dt=expiry / n_steps)
+        values = (grid.n_steps + 1) * grid.s_nodes.size
+        if values > MAX_SURFACE_VALUES:
+            raise ConfigError(f"steps={n_steps} on {n_nodes} nodes make a PDE surface of "
+                              f"{values} values, above the {MAX_SURFACE_VALUES} one may "
+                              "hold", field="steps")
         self.grid = grid
         self.taus, self.profiles = solve_surface(portfolio, side, config, grid)
         self.slopes = np.gradient(self.profiles, grid.ds, axis=1)

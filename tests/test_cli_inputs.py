@@ -222,6 +222,11 @@ def test_extreme_pde_inputs_exit_2_without_traceback(args):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+# the end of a GridTooCoarse message, with a node count under the cap or without one
+NODE_COUNT = r"resolving it takes about \d+ nodes\n"
+BEYOND_THE_CAP = rf"no grid within the {pde.MAX_NODES}-node cap resolves it\n"
+
+
 @pytest.mark.parametrize("args", [
     ["price", "--kind", "put", "--spot", "1e150"],
     ["price", "--kind", "call", "--strike", "1e-300", "--borrow-spread", "0.03"],
@@ -229,29 +234,40 @@ def test_extreme_pde_inputs_exit_2_without_traceback(args):
      "--spread-max", "0.02", "--spread-step", "0.01"],
 ])
 def test_strike_inside_the_first_cell_exits_2_naming_nodes(args):
+    """Each of these strikes needs more nodes than MAX_NODES, and the message says so."""
     result = invoke([*args, "--nodes", "200", "--dt", "0.05"])
     assert result.exit_code == 2, result.output
     assert re.fullmatch(r"error: --nodes: GridTooCoarse, strike \S+ lies inside the first "
-                        r"grid cell \[0, \S+\); resolving it takes about \S+ nodes\n",
-                        result.stderr), result.stderr
+                        r"grid cell \[0, \S+\); " + BEYOND_THE_CAP, result.stderr), result.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ["price", "--kind", "put", "--expiry", "1e-6", "--side", "riskfree"],
-    ["price", "--kind", "put", "--expiry", "1e-300", "--side", "riskfree"],
-    ["price", "--kind", "put", "--style", "american", "--expiry", "1e-300"],
-    ["fva-curve", "--engine", "pde", "--kind", "put", "--expiry", "1e-6"],
+@pytest.mark.parametrize("args,advice", [
+    (["price", "--kind", "put", "--expiry", "1e-6", "--side", "riskfree"], NODE_COUNT),
+    (["price", "--kind", "put", "--expiry", "1e-300", "--side", "riskfree"], BEYOND_THE_CAP),
+    (["price", "--kind", "put", "--style", "american", "--expiry", "1e-300"], BEYOND_THE_CAP),
+    (["fva-curve", "--engine", "pde", "--kind", "put", "--expiry", "1e-6"], NODE_COUNT),
 ])
-def test_expiry_below_one_cell_of_diffusion_exits_2_naming_nodes(args):
+def test_expiry_below_one_cell_of_diffusion_exits_2_naming_nodes(args, advice):
     """The strike node would keep its cell average, far from the option's value."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = invoke([*args, "--nodes", "200", "--dt", "0.05"])
     assert result.exit_code == 2, result.output
     assert re.fullmatch(r"error: --nodes: GridTooCoarse, sigma \* spot \* sqrt\(expiry\) = "
-                        r"\S+ at expiry \S+ is less than one grid cell \(\S+\); resolving "
-                        r"it takes about \S+ nodes\n", result.stderr), result.stderr
+                        r"\S+ at expiry \S+ is less than one grid cell \(\S+\); " + advice,
+                        result.stderr), result.stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--nodes", "15"], "n_nodes=15 is too small"),
+    (["--nodes", "16", "--dt", "1"],
+     "16 nodes cannot place spot 100.0 on an interior node of [0, 1691.88]"),
+])
+def test_too_few_nodes_exit_2_naming_nodes(args, message):
+    result = invoke(["price", "--kind", "put", *args])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: --nodes: GridTooCoarse, {message}\n"
 
 
 def test_short_expiry_prices_on_the_node_count_it_names():
@@ -419,6 +435,11 @@ def test_unwritable_output_exits_2_naming_output(tmp_path, args, target):
     (["price", "--kind", "put", "--nodes", str(pde.MAX_NODES + 1), "--dt", "1"], "--nodes"),
     (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde",
       "--nodes", "1000000000000", "--steps", "2"], "--nodes"),
+    # each cap alone allows this surface, of about 1e10 values
+    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde",
+      "--nodes", str(pde.MAX_NODES), "--steps", str(pde.MAX_TIME_STEPS)], "--steps"),
+    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde", "--nodes", "1000",
+      "--steps", str(replication.MAX_SURFACE_VALUES // 1000)], "--steps"),
     (["simulate", "--kind", "put", "--seed", "1", "--paths", "1000000000000",
       "--steps", "2"], "--paths"),
     (["simulate", "--kind", "put", "--seed", "1", "--paths", str(replication.MAX_PATHS + 1),

@@ -64,9 +64,12 @@ class TestGrid:
         with pytest.raises(GridTooCoarse) as info:
             PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=200, dt=0.05)
         assert info.value.field == "nodes"
-        match = re.search(r"about (\S+) nodes", str(info.value))
-        assert match, info.value
-        if spot == 100.0 and strike == 1.0:  # the node count it names is the least that works
+        if spot != 100.0 or strike != 1.0:  # it would take more nodes than the cap allows
+            assert str(info.value).endswith(
+                f"; no grid within the {pde.MAX_NODES}-node cap resolves it"), info.value
+        else:  # the node count it names is the least that works
+            match = re.search(r"about (\d+) nodes$", str(info.value))
+            assert match, info.value
             need = int(match.group(1))
             assert PdeGrid.build(spot, strike, VOL, EXPIRY, n_nodes=need, dt=0.05).ds <= strike
             with pytest.raises(GridTooCoarse):
@@ -232,15 +235,33 @@ class TestFundedSolves:
         assert bids[1] < bids[0] and asks[1] > asks[0]
 
     def test_funded_bull_spread_reports_funding_boundary(self, coarse_grid):
+        """The short bull book has a free funding boundary inside the grid.  The
+        S = 0 node takes the region of the half node its row lies at, so no book
+        reports a switch at ds / 2 from that node alone."""
         cfg = make_config(spread=0.03, repo_spread=0.005, repo_haircut=0.25,
                           sec_haircut=0.15)
         book = Portfolio(legs=(OptionLeg("call", 95.0, 1.0),
                                OptionLeg("call", 105.0, -1.0)), expiry=EXPIRY)
-        res = solve(book, Side.BID, cfg, coarse_grid)
+        res = solve(book, Side.ASK, cfg, coarse_grid)
         assert len(res.funding_boundary) > 0
         for t, s in res.funding_boundary:
             assert 0.0 <= t <= EXPIRY
-            assert 0.0 < s < coarse_grid.s_nodes[-1]
+            assert coarse_grid.ds < s < coarse_grid.s_nodes[-1]
+        bid = solve(book, Side.BID, cfg, coarse_grid)
+        assert all(s != 0.5 * coarse_grid.ds for _, s in bid.funding_boundary)
+
+    def test_call_struck_near_zero_prices_on_both_sides(self):
+        """A call struck at 1e-300 is worth the stock discounted at the borrow
+        spread.  Its S = 0 row once lay in two funding regions, and that node's
+        indicator cycled until the budget ran out."""
+        cfg = make_config(spread=0.03, r=0.05, sigma=0.2)
+        grid = PdeGrid(s_nodes=np.linspace(0.0, 400.0, 200), dt=0.05, n_steps=20,
+                       spot_index=50)
+        book = Portfolio.single("call", 1e-300, 1.0)
+        bid = solve(book, Side.BID, cfg, grid).price
+        ask = solve(book, Side.ASK, cfg, grid).price
+        assert np.isfinite([bid, ask]).all() and bid <= ask
+        assert bid == pytest.approx(grid.spot * math.exp(-0.03), rel=1e-5)
 
     def test_debt_and_deposit_regions_are_complementary(self, coarse_grid):
         # the short bull book splits the final slice into an unsecured-debt
@@ -319,7 +340,10 @@ class TestSolverErrors:
 
 
 def direct_operator(h, rp, ind, s, ds, config):
-    """The funded operator built node by node from per-node h, rp and ind arrays."""
+    """The funded operator built node by node from per-node h, rp and ind arrays.
+
+    Each boundary row lies in the boundary node's funding region, so both
+    nodes flanking its half node take that node's h, rp and ind."""
     spread = config.spread
     r_s = config.r + (1.0 - h) * (rp - config.r)
     a_conv = (r_s - config.q + ind * spread * h) * s
@@ -339,8 +363,13 @@ def direct_operator(h, rp, ind, s, ds, config):
             lo[j] = diff - a / (2.0 * ds)
             di[j] = -2.0 * diff - rho[j]
             up[j] = diff + a / (2.0 * ds)
-    halves = (0.5 * (a_conv[0] + a_conv[1]), 0.5 * (rho[0] + rho[1]),
-              0.5 * (a_conv[-2] + a_conv[-1]), 0.5 * (rho[-2] + rho[-1]))
+
+    def conv(j, at):
+        """Node j's convection coefficient in node `at`'s funding region."""
+        return (r_s[at] - config.q + ind[at] * spread * h[at]) * s[j]
+
+    halves = (0.5 * (conv(0, 0) + conv(1, 0)), rho[0],
+              0.5 * (conv(-2, -1) + conv(-1, -1)), rho[-1])
     return lo, di, up, halves, upwinded
 
 
@@ -423,17 +452,25 @@ class TestRegionTables:
         config = OPERATOR_CONFIGS[name]
         grid = PdeGrid.build(SPOT, STRIKE, config.sigma, EXPIRY, n_nodes=400, dt=0.04)
         u = np.random.default_rng(7).normal(size=grid.s_nodes.size)
+        # ends where a node's own indicator and its half node's differ: at S = 0
+        # arg is the value; at the top a flat edge leaves arg = U there, or a
+        # zero haircut does everywhere
+        u[:3] = (1.0, -3.0, -3.0)
+        u[-3:] = (1.0, -1e-3, -1e-3) if select_financing(1, config).h_signed else \
+            (0.0, 1.0, -1e-3)
         b = one_block(config, grid)
-        region, arg, debt = b.pattern(u, slice(0, b.K), slice(0, 1), 1)
+        region, arg = b.pattern(u, slice(0, b.K), slice(0, 1), 1)
         assert set(np.unique(region)) == {0, 1, 2, 3}
-        np.testing.assert_array_equal(debt, region // 2 == 1)
         haircut = [select_financing(-1, config).h_signed,
                    select_financing(1, config).h_signed]
         slope = np.gradient(u, grid.ds)
         np.testing.assert_array_equal(region % 2, slope <= 0.0)
         h = np.take(haircut, region % 2)
         np.testing.assert_array_equal(arg, u - h * grid.s_nodes * slope)
-        np.testing.assert_array_equal(debt, arg > 0.0)
+        debt, ends, nbrs = region >= 2, [0, -1], [1, -2]
+        np.testing.assert_array_equal(debt[1:-1], arg[1:-1] > 0.0)
+        np.testing.assert_array_equal(debt[ends], arg[ends] + arg[nbrs] > 0.0)
+        assert (debt[ends] != (arg[ends] > 0.0)).all()
 
 
 def banded(lower, diag, upper):
@@ -544,7 +581,7 @@ def confirming_substep(b, act, kind):
     obstacle, whole, member = b.obstacle, slice(0, b.K), slice(0, 1)
     idx, combo = b.indices(b.region, b.rows, member, 1)
     rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
-    region, arg, debt, ex, u_prev = b.region, b.arg, b.debt, b.ex, b.u
+    region, arg, ex, u_prev = b.region, b.arg, b.ex, b.u
     for _ in range(pde.FUNDING_MAX_ITERS):
         if b.upwind is not None:
             b.count_upwind(idx, member, 1)
@@ -560,15 +597,15 @@ def confirming_substep(b, act, kind):
             resid[:-1] += up[:-1] * x[1:]
             new_ex = b.sign_row * (x - obstacle) <= b.sign_row * resid
         change = float(np.max(np.abs(x - u_prev)))
-        new_region, new_arg, new_debt = b.pattern(x, whole, member, 1)
+        new_region, new_arg = b.pattern(x, whole, member, 1)
         done = b.converged(0, whole, change, new_region, new_arg, region, arg)
-        u_prev, region, arg, old_debt, debt = x, new_region, new_arg, debt, new_debt
+        u_prev, old_region, region, arg = x, region, new_region, new_arg
         old_ex, ex = ex, new_ex
         if done:
-            b.store(whole, x, region, arg, debt, ex)
+            b.store(whole, x, region, arg, ex)
             return
         idx, combo = b.indices(region, b.rows, member, 1)
-    b.fail(0, NoConvergence, b.no_convergence(0, whole, change, debt, old_debt, ex, old_ex))
+    b.fail(0, NoConvergence, b.no_convergence(0, whole, change, region, old_region, ex, old_ex))
 
 
 SKIP_CONFIGS = {
