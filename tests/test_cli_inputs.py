@@ -241,14 +241,16 @@ def test_strike_inside_the_first_cell_exits_2_naming_nodes(args):
                         r"grid cell \[0, \S+\); " + BEYOND_THE_CAP, result.stderr), result.stderr
 
 
-@pytest.mark.parametrize("args,advice", [
-    (["price", "--kind", "put", "--expiry", "1e-6", "--side", "riskfree"], NODE_COUNT),
-    (["price", "--kind", "put", "--expiry", "1e-300", "--side", "riskfree"], BEYOND_THE_CAP),
-    (["price", "--kind", "put", "--style", "american", "--expiry", "1e-300"], BEYOND_THE_CAP),
-    (["fva-curve", "--engine", "pde", "--kind", "put", "--expiry", "1e-6"], NODE_COUNT),
+@pytest.mark.parametrize("args", [
+    ["price", "--kind", "put", "--expiry", "1e-6", "--side", "riskfree"],
+    ["price", "--kind", "put", "--expiry", "1e-300", "--side", "riskfree"],
+    ["price", "--kind", "put", "--style", "american", "--expiry", "1e-300"],
+    ["fva-curve", "--engine", "pde", "--kind", "put", "--expiry", "1e-6"],
 ])
-def test_expiry_below_one_cell_of_diffusion_exits_2_naming_nodes(args, advice):
-    """The strike node would keep its cell average, far from the option's value."""
+def test_expiry_below_one_cell_of_diffusion_exits_2_naming_nodes(args):
+    """The strike node would keep its cell average, far from the option's value.
+    An expiry of 1e-6 takes about 8000 nodes; one of 1e-300 more than the cap."""
+    advice = BEYOND_THE_CAP if "1e-300" in args else NODE_COUNT
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = invoke([*args, "--nodes", "200", "--dt", "0.05"])
@@ -263,7 +265,7 @@ def test_expiry_below_one_cell_of_diffusion_exits_2_naming_nodes(args, advice):
     (["--nodes", "15"], "n_nodes=15 is too small"),
     (["--nodes", "16", "--dt", "1"],
      "16 nodes cannot place spot 100.0 on an interior node of [0, 1691.88]"),
-])
+], ids=["15", "16"])
 def test_too_few_nodes_exit_2_naming_nodes(args, message):
     result = invoke(["price", "--kind", "put", *args])
     assert result.exit_code == 2, result.output
@@ -435,15 +437,15 @@ def test_unwritable_output_exits_2_naming_output(tmp_path, args, target):
     (["price", "--kind", "put", "--nodes", str(pde.MAX_NODES + 1), "--dt", "1"], "--nodes"),
     (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde",
       "--nodes", "1000000000000", "--steps", "2"], "--nodes"),
-    # each cap alone allows this surface, of about 1e10 values
-    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde",
-      "--nodes", str(pde.MAX_NODES), "--steps", str(pde.MAX_TIME_STEPS)], "--steps"),
-    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde", "--nodes", "1000",
-      "--steps", str(replication.MAX_SURFACE_VALUES // 1000)], "--steps"),
     (["simulate", "--kind", "put", "--seed", "1", "--paths", "1000000000000",
       "--steps", "2"], "--paths"),
     (["simulate", "--kind", "put", "--seed", "1", "--paths", str(replication.MAX_PATHS + 1),
       "--steps", "2"], "--paths"),
+    # the node and step caps each allow this surface, of about 1e10 values
+    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde",
+      "--nodes", str(pde.MAX_NODES), "--steps", str(pde.MAX_TIME_STEPS)], "--steps"),
+    (["simulate", "--kind", "put", "--seed", "1", "--oracle", "pde", "--nodes", "1000",
+      "--steps", str(replication.MAX_SURFACE_VALUES // 1000)], "--steps"),
 ])
 def test_sizes_above_their_cap_exit_2_before_allocating(args, flag):
     start = time.perf_counter()
