@@ -23,8 +23,8 @@ from .errors import (
     PriceOutOfBounds,
     PricingError,
 )
-from .funding import FinancingSelection, FundingAccounts, funding_accounts, funding_term, \
-    fva, select_financing
+from .funding import FinancingSelection, FundingAccounts, funding_accounts, fva, \
+    select_financing
 from .market import FundingConfig, OptionLeg, Portfolio, Side, terminal_payoff, validate
 from .pde import PdeGrid, PricingResult, solve, solve_american, solve_many, solve_surface
 from .portfolio import NettingReport, build_strategy, netting_report, netting_reports, \
@@ -64,7 +64,6 @@ __all__ = [
     "bs_price",
     "build_strategy",
     "funding_accounts",
-    "funding_term",
     "fva",
     "implied_vol",
     "long_position_price",

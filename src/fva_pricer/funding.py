@@ -1,5 +1,5 @@
 """Funding economics: signed-haircut selection, nominal stock rate, and the
-nonlinear unsecured-funding term of the pricing PDE.
+replication accounts whose unsecured debt N the pricing PDE charges.
 
 Sign conventions used everywhere in the library:
 
@@ -9,7 +9,9 @@ Sign conventions used everywhere in the library:
   +repo_haircut at the repo rate; a negative holding is a stock borrow with
   signed haircut -sec_haircut earning the rebate rate.
 * The unsecured debt balance is N = (U - h*S*dU/dS)^+ and it accrues the
-  spread r_b - r over the deposit rate.
+  spread r_b - r over the deposit rate, so the funding cost is (r_b - r) * N.
+  `funding_accounts` is the one place the M/N/R split is written: it works
+  elementwise, and `simulate_hedge` opens its accounts with it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ class FundingAccounts:
 
     M and N are the deposit and unsecured-debt balances of the
     unidirectional funding strategy (M * N = 0); R is the signed secured
-    financing balance tied to the stock holding.
+    financing balance tied to the stock holding.  Each is a float, or an
+    array for array inputs.
     """
 
-    M: float
-    N: float
-    R: float
+    M: float | np.ndarray
+    N: float | np.ndarray
+    R: float | np.ndarray
 
 
 def select_financing(stock_holding_sign: int, config: FundingConfig) -> FinancingSelection:
@@ -74,30 +77,20 @@ def financing_arrays(holding: np.ndarray, config: FundingConfig) -> tuple[np.nda
             np.where(long_stock, long_sel.r_p_effective, short_sel.r_p_effective))
 
 
-def funding_term(value: float, slope: float, spot: float, config: FundingConfig) -> float:
-    """Unsecured funding cost rate of a position (currency per year).
-
-    `value` is the signed position value U, `slope` its stock sensitivity
-    dU/dS.  The hedged economy holds -slope shares, which fixes the signed
-    haircut, and pays the spread on the debt balance (U - h*S*slope)^+.
-    """
-    sel = select_financing(_sign(-slope), config)
-    basis = value - sel.h_signed * spot * slope
-    return (config.r_b - config.r) * max(basis, 0.0)
-
-
-def funding_accounts(value: float, stock_holding: float, spot: float,
-                     config: FundingConfig) -> FundingAccounts:
-    """Account balances replicating a position worth `value` (signed).
+def funding_accounts(value: float | np.ndarray, stock_holding: float | np.ndarray,
+                     spot: float | np.ndarray, config: FundingConfig) -> FundingAccounts:
+    """Account balances replicating a position worth `value` (signed), elementwise
+    over arrays.
 
     Solves the zero-wealth condition M - N = -value - h*holding*spot with
     the unidirectional split M = (.)^+, N = (-.)^+, and
-    R = (1 - h) * holding * spot.
+    R = (1 - h) * holding * spot; h is `financing_arrays`' haircut of the
+    holding's sign.
     """
-    sel = select_financing(_sign(stock_holding), config)
-    net = -value - sel.h_signed * stock_holding * spot
-    return FundingAccounts(M=max(net, 0.0), N=max(-net, 0.0),
-                           R=(1.0 - sel.h_signed) * stock_holding * spot)
+    h = financing_arrays(stock_holding, config)[0]
+    net = -value - h * stock_holding * spot
+    return FundingAccounts(M=np.maximum(net, 0.0), N=np.maximum(-net, 0.0),
+                           R=(1.0 - h) * stock_holding * spot)
 
 
 def fva(side: Side, adjusted_price: float, risk_free_price: float) -> float:
@@ -110,6 +103,3 @@ def fva(side: Side, adjusted_price: float, risk_free_price: float) -> float:
         return adjusted_price - risk_free_price
     return risk_free_price - adjusted_price
 
-
-def _sign(x: float) -> int:
-    return -1 if x < 0 else 1

@@ -204,12 +204,6 @@ class Portfolio:
     def max_strike(self) -> float:
         return max(leg.strike for leg in self.legs)
 
-    def scaled(self, factor: float) -> "Portfolio":
-        return Portfolio(
-            legs=tuple(dataclasses.replace(leg, quantity=factor * leg.quantity)
-                       for leg in self.legs),
-            expiry=self.expiry)
-
 
 def terminal_payoff(portfolio: Portfolio, s: float | np.ndarray) -> float | np.ndarray:
     """Signed payoff of the whole book at expiry for stock price s >= 0."""
@@ -241,15 +235,6 @@ def portfolio_from_dict(payload: dict) -> Portfolio:
         raise ConfigError(f"malformed portfolio payload: {type(exc).__name__}: {exc}"
                           ) from exc
     return Portfolio(legs=legs, expiry=expiry)
-
-
-def portfolio_to_dict(portfolio: Portfolio) -> dict:
-    return {
-        "expiry": portfolio.expiry,
-        "style": portfolio.style,
-        "legs": [{"kind": leg.kind, "strike": leg.strike, "qty": leg.quantity}
-                 for leg in portfolio.legs],
-    }
 
 
 def load_portfolio(path: str) -> Portfolio:

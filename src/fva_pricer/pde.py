@@ -13,7 +13,8 @@ Crank-Nicolson time stepping on a uniform stock grid, with:
   funding regions (unsecured debt or none, long or short stock), so the
   operator diagonals of all four, and the implicit-system diagonals of each
   step kind, are built once per solve and every inner iteration gathers its
-  system from them by region code,
+  system from them by one index, region * K + row; the boundary rows'
+  half-node coefficients sit in those tables too, indexed like every row,
 * batches: `solve_many` runs any number of jobs that share a node count
   through that one loop.  The jobs lie end to end on one axis of k * n rows
   and step in lock step by substep index (grids may differ in spacing, dt
@@ -345,10 +346,10 @@ class _Kept:
     coefficients `rhs` gathers (`coef`), the diagonals `system` builds for one
     step kind (`A`), and A's LU factors (`lu`, made on A's second solve)."""
 
-    __slots__ = ("sel", "idx", "combo", "coef", "kind", "A", "lu")
+    __slots__ = ("sel", "idx", "coef", "kind", "A", "lu")
 
-    def __init__(self, sel: slice, idx: np.ndarray, combo: np.ndarray):
-        self.sel, self.idx, self.combo = sel, idx, combo
+    def __init__(self, sel: slice, idx: np.ndarray):
+        self.sel, self.idx = sel, idx
         self.coef = self.kind = self.A = self.lu = None
 
 
@@ -457,31 +458,23 @@ class _Block:
         self.upwinded = np.zeros(k, dtype=np.intp)
 
         # half-node coefficients of each member's two boundary rows in each funding
-        # region, which `pattern` gives the boundary node; entry 8 * member +
-        # 4 * (last row) + region
-        region, first, last = np.arange(4), starts[:, None], ends[:, None]
-        half_a = np.stack([0.5 * (a_conv[region, first] + a_conv[region, first + 1]),
-                           0.5 * (a_conv[region, last - 1] + a_conv[region, last])], axis=1)
-        half_rho = np.stack([rho, rho], axis=1)
+        # region, which `pattern` gives the boundary node: region tables that are 0
+        # but at those rows, so `idx` reads them as it reads every row's
+        first, last = self.ends
+        half_a, half_rho = np.zeros((4, K)), np.zeros((4, K))
+        half_a[:, first] = 0.5 * (a_conv[:, first] + a_conv[:, first + 1])
+        half_a[:, last] = 0.5 * (a_conv[:, last - 1] + a_conv[:, last])
+        half_rho[:, first] = half_rho[:, last] = rho.T
         self.half_a, self.half_rho = half_a.ravel(), half_rho.ravel()
-        self.combo_base = np.arange(k) * 8 + np.array([[0], [4]])
 
-        # per substep kind: dts and the two boundary rows of each region;
-        # `system` builds the implicit system of each region for one kind at a time
-        self.dts, self.two_dts, self.plus, self.minus = [], [], [], []
+        # per substep kind: dts; `system` builds the implicit system of each
+        # region for one kind at a time
+        self.dts = [np.array(self.dt) * fraction for _, fraction in _KINDS]
+        self.two_dts = [2.0 * dts for dts in self.dts]
         self.lhs_kind, self.lhs = None, None
         # the `_Kept` of a substep that ended on the region codes it gathered
         # with, for the next substep of the same members
         self.kept: _Kept | None = None
-        ds = self.ds[:, None, None]
-        for theta, fraction in _KINDS:
-            dts = np.array(self.dt) * fraction
-            self.dts.append(dts)
-            self.two_dts.append(2.0 * dts)
-            c0 = (1.0 / (2.0 * dts))[:, None, None]
-            ta, tr = theta * half_a / ds, theta * half_rho / 2.0
-            self.plus.append((c0 + ta + tr).ravel())
-            self.minus.append((c0 - ta + tr).ravel())
 
         self.region, self.arg = self.pattern(self.u, slice(0, K), slice(0, k), k)
         self.boundary: list[list[tuple[float, float]]] = [[] for _ in range(k)]
@@ -496,20 +489,18 @@ class _Block:
 
     # -- assembly ------------------------------------------------------------
 
-    def indices(self, region: np.ndarray, rows: np.ndarray, msel, ka: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Index of each row into the region tables, and (2, ka) index of each
-        member's two boundary rows into the half-node tables."""
+    def indices(self, region: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Index of each row into the region tables."""
         idx = region * self.K
         idx += rows
-        combo = region.take(self.ends[:, :ka])
-        combo += self.combo_base[:, msel]
-        return idx, combo
+        return idx
 
-    def gather(self, idx: np.ndarray, combo: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Region coefficients of each row and half-node ones of each boundary row."""
+    def gather(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Region coefficients of each row, and (2, ka) half-node ones of each
+        member's two boundary rows."""
+        ends = idx.take(self.ends[:, :idx.size // self.n])
         return (*(table.take(idx) for table in self.raw),
-                self.half_a.take(combo), self.half_rho.take(combo))
+                self.half_a.take(ends), self.half_rho.take(ends))
 
     def rhs(self, u: np.ndarray, coef: tuple[np.ndarray, ...], sel, msel,
             kind: int) -> np.ndarray:
@@ -533,8 +524,7 @@ class _Block:
         out[self.ends[:, :half_a.shape[1]]] = total / self.two_dts[kind][msel] + flow
         return out
 
-    def system(self, idx: np.ndarray, combo: np.ndarray, kind: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def system(self, idx: np.ndarray, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Diagonals of [I/dts - theta L] with each member's boundary rows.
 
         The zero-gamma rows drop the second derivative and collocate the
@@ -544,21 +534,22 @@ class _Block:
         one-sided difference across them, so each row couples two unknowns.
         """
         if self.lhs_kind != kind:
-            # [I/dts - theta L] of each region; the start-up kind's tables are
-            # dropped once the Crank-Nicolson steps begin
+            # [I/dts - theta L] of each region, boundary rows included; the start-up
+            # kind's tables are dropped once the Crank-Nicolson steps begin
             theta, (lo, di, up) = _KINDS[kind][0], self.raw
             self.lhs = None
             inv_dts = np.repeat(1.0 / self.dts[kind], self.n)
             self.lhs = (-theta * lo, (inv_dts - theta * di.reshape(4, -1)).ravel(), -theta * up)
             self.lhs_kind = kind
-        A_lo, A_di, A_up = (table.take(idx) for table in self.lhs)
-        plus, minus = self.plus[kind].take(combo), self.minus[kind].take(combo)
-        first, last = self.ends[:, :combo.shape[1]]
-        A_di[first] = plus[0]
-        A_up[first] = minus[0]
-        A_lo[last] = plus[1]
-        A_di[last] = minus[1]
-        return A_lo, A_di, A_up
+            # each region's boundary rows, the half-node equation at (2, k) ends
+            (first, last), c0 = self.ends, 1.0 / (2.0 * self.dts[kind])
+            ta = theta * self.half_a.reshape(4, -1)[:, self.ends] / self.ds
+            tr = theta * self.half_rho.reshape(4, -1)[:, self.ends] / 2.0
+            plus, minus = c0 + ta + tr, c0 - ta + tr
+            A_lo, A_di, A_up = (table.reshape(4, -1) for table in self.lhs)
+            A_di[:, first], A_up[:, first] = plus[:, 0], minus[:, 0]
+            A_lo[:, last], A_di[:, last] = plus[:, 1], minus[:, 1]
+        return tuple(table.take(idx) for table in self.lhs)
 
     def pattern(self, x: np.ndarray, sel, msel, ka: int) -> tuple[np.ndarray, np.ndarray]:
         """(region, arg) of iterate x: per node 2 * debt + (stock holding >= 0) and
@@ -707,10 +698,10 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
     # and so do its coefficients, its system of the same kind and that system's factors
     kept, b.kept = b.kept, None
     if kept is None or kept.sel != sel:
-        kept = _Kept(sel, *b.indices(region, rows, msel, ka))
-    idx, combo = kept.idx, kept.combo
+        kept = _Kept(sel, b.indices(region, rows))
+    idx = kept.idx
     if kept.coef is None:
-        kept.coef = b.gather(idx, combo)
+        kept.coef = b.gather(idx)
     rhs = b.rhs(u_prev, kept.coef, sel, msel, kind)
     it = 0
     while True:
@@ -720,7 +711,7 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
         else:
             if b.upwind is not None:
                 b.count_upwind(idx, msel, ka)
-            A = b.system(idx, combo, kind)
+            A = b.system(idx, kind)
             if kept is not None:
                 kept.kind, kept.A, kept.lu = kind, A, None
         if obstacle is None:
@@ -781,8 +772,8 @@ def _substep(b: _Block, act: np.ndarray, kind: int) -> None:
             act, rows = act[keep], rows[live]
             msel, sel, ka = act, rows, act.size
             u_prev, region, arg, ex, rhs = (a[live] for a in (u_prev, region, arg, ex, rhs))
-        idx, combo = b.indices(region, rows, msel, ka)
-        kept = _Kept(sel, idx, combo) if isinstance(sel, slice) else None
+        idx = b.indices(region, rows)
+        kept = _Kept(sel, idx) if isinstance(sel, slice) else None
 
 
 def _blocks(jobs: Iterable[Job]):

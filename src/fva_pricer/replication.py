@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analytic
 from .errors import ConfigError, HaircutNotZero, OracleUnavailable
-from .funding import financing_arrays
+from .funding import financing_arrays, funding_accounts
 from .market import FundingConfig, OptionLeg, Portfolio, Side, _require_positive
 from .pde import MAX_TIME_STEPS, PdeGrid, solve_surface
 
@@ -283,10 +283,8 @@ def simulate_hedge(option: OptionLeg, spot: float, expiry: float, side: Side,
     value, slope = oracle.value_and_slope(s, expiry)
     hold = -slope
     long = hold >= 0.0
-    repo = keep_by_sign.take(long) * hold * s
-    net = -value - h_by_sign.take(long) * hold * s
-    m_acct = np.maximum(net, 0.0)
-    n_acct = np.maximum(-net, 0.0)
+    opening = funding_accounts(value, hold, s, config)
+    m_acct, n_acct, repo = opening.M, opening.N, opening.R
     states: list[LedgerState] = []
 
     def wealth() -> np.ndarray:

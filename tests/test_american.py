@@ -112,11 +112,11 @@ def stepped_systems(side, config, grid):
     for step in range(grid.n_steps):
         b.step = step
         for kind in (0, 0) if step < pde.RANNACHER_STEPS else (1,):
-            idx, combo = b.indices(b.region, b.rows, member, 1)
-            rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
+            idx = b.indices(b.region, b.rows)
+            rhs = b.rhs(b.u, b.gather(idx), whole, member, kind)
             pde._substep(b, np.arange(1), kind)
-            idx, combo = b.indices(b.region, b.rows, member, 1)
-            yield b, b.system(idx, combo, kind), rhs, b.u
+            idx = b.indices(b.region, b.rows)
+            yield b, b.system(idx, kind), rhs, b.u
 
 
 class TestExerciseProblem:

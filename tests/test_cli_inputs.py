@@ -290,8 +290,8 @@ def test_singular_system_names_its_job_step_and_time(monkeypatch):
     named."""
     build = pde._Block.system
 
-    def singular_second_job(b, idx, combo, kind):
-        lo, di, up = build(b, idx, combo, kind)
+    def singular_second_job(b, idx, kind):
+        lo, di, up = build(b, idx, kind)
         if 1 in b.index:
             first = np.flatnonzero(idx % b.K == b.index.index(1) * b.n)
             di[first] = up[first] = 0.0

@@ -1,12 +1,12 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fva_pricer import (
     Side,
     funding_accounts,
-    funding_term,
     fva,
     select_financing,
 )
@@ -52,14 +52,14 @@ class TestSelectFinancing:
 
 
 class TestFundingTerm:
+    """The funding term, the cost rate (r_b - r) * N of the position's debt N."""
+
     def test_short_put_economy_has_no_unsecured_debt(self):
         # position value -17.0183, slope +0.262259 (short a put), spot 100:
         # the hedge shorts stock, margin haircut 15%, and the debt basis
-        # 3.9339 - 17.0183 is negative, so the term vanishes and the
+        # 3.9339 - 17.0183 is negative, so there is no debt to fund and the
         # deposit account holds the difference.
         cfg = make_config(spread=0.03, rebate_spread=-0.005, sec_haircut=0.15)
-        term = funding_term(-17.0183, 0.262259, 100.0, cfg)
-        assert term == 0.0
         acct = funding_accounts(-17.0183, -0.262259, 100.0, cfg)
         assert acct.M == pytest.approx(13.0844, abs=1e-4)
         assert acct.N == 0.0
@@ -67,20 +67,8 @@ class TestFundingTerm:
     def test_long_call_zero_haircut_finances_whole_premium(self):
         cfg = make_config(spread=0.03, rebate_spread=-0.005)
         value, slope = 35.1452, 0.737741
-        term = funding_term(value, slope, 100.0, cfg)
-        assert term == pytest.approx(0.03 * value)
-
-    def test_zero_spread_kills_term(self):
-        cfg = make_config(repo_spread=0.01, repo_haircut=0.3, sec_haircut=0.2)
-        for value, slope in ((30.0, 0.7), (-20.0, -0.3), (5.0, -0.9)):
-            assert funding_term(value, slope, 100.0, cfg) == 0.0
-
-    @given(value=st.floats(-100, 100), slope=st.floats(-3, 3),
-           spot=st.floats(1, 400))
-    def test_term_is_nonnegative(self, value, slope, spot):
-        cfg = make_config(spread=0.02, repo_spread=0.004, repo_haircut=0.25,
-                          sec_haircut=0.15)
-        assert funding_term(value, slope, spot, cfg) >= 0.0
+        acct = funding_accounts(value, -slope, 100.0, cfg)
+        assert (cfg.r_b - cfg.r) * acct.N == pytest.approx(0.03 * value)
 
 
 class TestFundingAccounts:
@@ -103,6 +91,20 @@ class TestFundingAccounts:
             acct = funding_accounts(value, holding, 100.0, cfg)
             wealth = acct.M + holding * 100.0 + value - acct.R - acct.N
             assert wealth == pytest.approx(0.0, abs=1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_arrays_equal_elementwise_calls_bit_for_bit(self, seed):
+        cfg = make_config(spread=0.02, repo_spread=0.004, repo_haircut=0.25,
+                          sec_haircut=0.15)
+        rng = np.random.default_rng(seed)
+        value, holding = rng.normal(0.0, 40.0, 64), rng.normal(0.0, 1.0, 64)
+        holding[:3] = (0.0, -0.0, 1e-300)
+        spot = rng.uniform(1.0, 300.0, 64)
+        acct = funding_accounts(value, holding, spot, cfg)
+        for i in range(value.size):
+            one = funding_accounts(float(value[i]), float(holding[i]), float(spot[i]), cfg)
+            assert np.array([one.M, one.N, one.R]).tobytes() == \
+                np.array([acct.M[i], acct.N[i], acct.R[i]]).tobytes()
 
 
 class TestFva:

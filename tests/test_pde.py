@@ -416,29 +416,37 @@ class TestCellAveragedPayoff:
             assert np.count_nonzero(b.u != raw) == 1
 
 
+def operator_batch(first):
+    """A batch of one put per operator config, `first`'s member first, with its grids."""
+    names = [first] + sorted(set(OPERATOR_CONFIGS) - {first})
+    grids = [PdeGrid.build(SPOT, STRIKE, OPERATOR_CONFIGS[name].sigma, EXPIRY,
+                           n_nodes=400, dt=0.04) for name in names]
+    b = pde._Block([(i, (single("put"), Side.BID, OPERATOR_CONFIGS[name], grid))
+                    for i, (name, grid) in enumerate(zip(names, grids))], labelled=True)
+    return b, names, grids
+
+
+def member_operator(region, name, grid):
+    """`direct_operator` of one member at its region codes."""
+    config = OPERATOR_CONFIGS[name]
+    ind, long_stock = np.divmod(region, 2)
+    h, rp = financing_arrays(np.where(long_stock == 1, 1.0, -1.0), config)
+    return direct_operator(h, rp, ind.astype(float), grid.s_nodes, grid.ds, config)
+
+
 class TestRegionTables:
     @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
     @pytest.mark.parametrize("seed", range(3))
     def test_gathered_operator_equals_direct_build(self, name, seed):
         """One gather from a batch of every config, `name` first, equals each
         member's direct build."""
-        names = [name] + sorted(set(OPERATOR_CONFIGS) - {name})
-        grids = [PdeGrid.build(SPOT, STRIKE, OPERATOR_CONFIGS[name].sigma, EXPIRY,
-                               n_nodes=400, dt=0.04) for name in names]
-        b = pde._Block([(i, (single("put"), Side.BID, OPERATOR_CONFIGS[name], grid))
-                        for i, (name, grid) in enumerate(zip(names, grids))],
-                       labelled=True)
+        b, names, grids = operator_batch(name)
         region = np.random.default_rng(seed).integers(0, 4, b.K)
-        idx, combo = b.indices(region, b.rows, slice(0, b.k), b.k)
-        gathered = [table.take(idx) for table in b.raw]
-        a_half, rho_half = b.half_a.take(combo), b.half_rho.take(combo)
+        idx = b.indices(region, b.rows)
+        *gathered, a_half, rho_half = b.gather(idx)
         for j, (name, grid) in enumerate(zip(names, grids)):
-            config, rows = OPERATOR_CONFIGS[name], slice(j * b.n, (j + 1) * b.n)
-            s, ds = grid.s_nodes, grid.ds
-            ind, long_stock = np.divmod(region[rows], 2)
-            h, rp = financing_arrays(np.where(long_stock == 1, 1.0, -1.0), config)
-            lo, di, up, halves, upwinded = direct_operator(h, rp, ind.astype(float), s, ds,
-                                                           config)
+            rows = slice(j * b.n, (j + 1) * b.n)
+            lo, di, up, halves, upwinded = member_operator(region[rows], name, grid)
             for got, want in zip(gathered, (lo, di, up)):
                 assert got[rows].tobytes() == want.tobytes()
             assert (a_half[0, j], rho_half[0, j], a_half[1, j], rho_half[1, j]) == halves
@@ -446,6 +454,30 @@ class TestRegionTables:
             assert got_upwinded == upwinded
             if name == "low_vol":
                 assert upwinded > 0
+
+    @pytest.mark.parametrize("kind", range(len(pde._KINDS)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_assembled_system_equals_direct_build(self, kind, seed):
+        """Every row of `system` is the implicit system built from each member's
+        direct operator: I/dts - theta L inside, the half-node equation on the
+        boundary rows, and no coupling across a seam."""
+        b, names, grids = operator_batch(sorted(OPERATOR_CONFIGS)[seed])
+        region = np.random.default_rng(seed).integers(0, 4, b.K)
+        A_lo, A_di, A_up = b.system(b.indices(region, b.rows), kind)
+        theta, fraction = pde._KINDS[kind]
+        for j, (name, grid) in enumerate(zip(names, grids)):
+            rows = slice(j * b.n, (j + 1) * b.n)
+            lo, di, up, (a0, r0, a1, r1), _ = member_operator(region[rows], name, grid)
+            dts = grid.dt * fraction
+            want_lo, want_di, want_up = -theta * lo, 1.0 / dts - theta * di, -theta * up
+            c0 = 1.0 / (2.0 * dts)
+            near_a, near_r = theta * a0 / grid.ds, theta * r0 / 2.0
+            far_a, far_r = theta * a1 / grid.ds, theta * r1 / 2.0
+            want_di[0], want_up[0] = c0 + near_a + near_r, c0 - near_a + near_r
+            want_lo[-1], want_di[-1] = c0 + far_a + far_r, c0 - far_a + far_r
+            for got, want in zip((A_lo, A_di, A_up), (want_lo, want_di, want_up)):
+                assert got[rows].tobytes() == want.tobytes()
+            assert A_lo[rows][0] == 0.0 and A_up[rows][-1] == 0.0
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_CONFIGS))
     def test_pattern_region_matches_its_financing(self, name):
@@ -566,7 +598,7 @@ class TestTridiag:
 
 def kept_system(lower, diag, upper):
     """A `_Kept` holding the system, not yet factored."""
-    kept = pde._Kept(slice(0, diag.size), None, None)
+    kept = pde._Kept(slice(0, diag.size), None)
     kept.A = (lower, diag, upper)
     return kept
 
@@ -579,13 +611,13 @@ def confirming_substep(b, act, kind):
     """The substep of a one-job batch without the repeat skip: it always runs the
     confirming solve."""
     obstacle, whole, member = b.obstacle, slice(0, b.K), slice(0, 1)
-    idx, combo = b.indices(b.region, b.rows, member, 1)
-    rhs = b.rhs(b.u, b.gather(idx, combo), whole, member, kind)
+    idx = b.indices(b.region, b.rows)
+    rhs = b.rhs(b.u, b.gather(idx), whole, member, kind)
     region, arg, ex, u_prev = b.region, b.arg, b.ex, b.u
     for _ in range(pde.FUNDING_MAX_ITERS):
         if b.upwind is not None:
             b.count_upwind(idx, member, 1)
-        lo, di, up = b.system(idx, combo, kind)
+        lo, di, up = b.system(idx, kind)
         if obstacle is None:
             x, new_ex = pde._tridiag(lo, di, up, rhs), ex
         else:
@@ -604,7 +636,7 @@ def confirming_substep(b, act, kind):
         if done:
             b.store(whole, x, region, arg, ex)
             return
-        idx, combo = b.indices(region, b.rows, member, 1)
+        idx = b.indices(region, b.rows)
     b.fail(0, NoConvergence, b.no_convergence(0, whole, change, region, old_region, ex, old_ex))
 
 

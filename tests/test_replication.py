@@ -13,6 +13,7 @@ from fva_pricer import (
     OracleUnavailable,
     PdeOracle,
     Side,
+    funding_accounts,
     make_oracle,
     simulate_hedge,
 )
@@ -176,6 +177,21 @@ class TestFundedReplication:
             means.append(np.abs(s.mean) + s.std)  # proxy for mean |pi_T| scale
         # finer rebalancing shrinks the wealth dispersion monotonically
         assert means[0] > means[1] > means[2]
+
+    @pytest.mark.parametrize("side", [Side.BID, Side.ASK])
+    def test_opening_accounts_are_funding_accounts(self, side):
+        """The first ledger state holds `funding_accounts` of the oracle's t = 0
+        value and hedge, bit for bit (the ask of a put runs on a PDE surface)."""
+        cfg = make_config(**FUNDED)
+        oracle = make_oracle(PUT, SPOT, EXPIRY, side, cfg, n_steps=20, pde_nodes=200)
+        s = simulate_hedge(PUT, SPOT, EXPIRY, side, cfg, n_paths=4, n_steps=20, mu=0.1,
+                           seed=3, oracle=oracle, trace_path=2)
+        value, slope = oracle.value_and_slope(np.full(1, SPOT), EXPIRY)
+        acct = funding_accounts(value, -slope, np.full(1, SPOT), cfg)
+        first = s.trace[0]
+        assert np.array([first.M, first.N, first.R]).tobytes() == \
+            np.concatenate([acct.M, acct.N, acct.R]).tobytes()
+        assert first.N > 0.0 if side is Side.BID else first.M > 0.0
 
     def test_oracle_selection(self, classic_config):
         funded = make_config(**FUNDED)
